@@ -1,6 +1,6 @@
 //! `pacga-audit`: the repo's in-tree static analyzer (DESIGN.md §11).
 //!
-//! Five named rules, each individually suppressible with an inline
+//! Six named rules, each individually suppressible with an inline
 //! waiver comment (`pacga:allow(A1)` on the offending line or the line
 //! above):
 //!
@@ -18,6 +18,10 @@
 //!   the atomic tmp+rename helper (`pa_cga_core::fsx`) instead.
 //! * **A5** — no `std::sync::Mutex` outside `vendor/` (the vendored
 //!   `parking_lot` stand-in is the only lock supplier).
+//! * **A6** — no `std::env::set_var` / `remove_var` anywhere in
+//!   `crates/`, tests included: the environment is process-global, so a
+//!   test that mutates it races every sibling test that reads it. Env
+//!   readers take the value as an argument instead.
 //!
 //! The analyzer is dependency-free by design: a lightweight hand-rolled
 //! lexer (comments, nested block comments, raw/byte strings, char
@@ -42,11 +46,13 @@ pub enum Rule {
     A4,
     /// `std::sync::Mutex` outside `vendor/`.
     A5,
+    /// Process-environment mutation under `crates/`.
+    A6,
 }
 
 impl Rule {
     /// All rules, in report order.
-    pub const ALL: [Rule; 5] = [Rule::A1, Rule::A2, Rule::A3, Rule::A4, Rule::A5];
+    pub const ALL: [Rule; 6] = [Rule::A1, Rule::A2, Rule::A3, Rule::A4, Rule::A5, Rule::A6];
 
     /// The rule's name as spelled in reports and waivers.
     pub fn name(self) -> &'static str {
@@ -56,6 +62,7 @@ impl Rule {
             Rule::A3 => "A3",
             Rule::A4 => "A4",
             Rule::A5 => "A5",
+            Rule::A6 => "A6",
         }
     }
 
@@ -69,6 +76,7 @@ impl Rule {
             }
             Rule::A4 => "raw fs::write/File::create outside the pa_cga_core::fsx atomic helper",
             Rule::A5 => "std::sync::Mutex outside vendor/ (use the vendored parking_lot)",
+            Rule::A6 => "std::env::set_var/remove_var anywhere in crates/ (inject the value)",
         }
     }
 }
@@ -526,6 +534,9 @@ pub fn analyze_source(rel_path: &str, source: &str, cfg: &AuditConfig) -> Vec<Vi
         rule_a4(&cx, &mut out);
     }
     rule_a5(&cx, &mut out);
+    if rel_path.starts_with("crates/") {
+        rule_a6(&cx, &mut out);
+    }
 
     out.sort_by(|a, b| (a.line, a.rule.name()).cmp(&(b.line, b.rule.name())));
     out
@@ -723,6 +734,48 @@ fn rule_a5(cx: &FileCx<'_>, out: &mut Vec<Violation>) {
     }
 }
 
+fn rule_a6(cx: &FileCx<'_>, out: &mut Vec<Violation>) {
+    let tokens = cx.tokens;
+    let mutates = |t: &Token| matches!(t.ident(), Some("set_var" | "remove_var"));
+    let mut flag = |t: &Token| {
+        if !cx.waived(t.line, Rule::A6) {
+            out.push(Violation {
+                file: cx.rel_path.to_string(),
+                line: t.line,
+                rule: Rule::A6,
+                message: format!(
+                    "env::{} mutates the process-global environment; pass the value in",
+                    t.ident().unwrap_or("")
+                ),
+            });
+        }
+    };
+    for i in 0..tokens.len() {
+        if tokens[i].ident() != Some("env") || !is_path_sep(tokens, i + 1) {
+            continue;
+        }
+        match tokens.get(i + 3) {
+            Some(t) if mutates(t) => flag(t),
+            Some(t) if t.is_punct('{') => {
+                // Brace import: scan the group.
+                let mut j = i + 4;
+                let mut depth = 1;
+                while j < tokens.len() && depth > 0 {
+                    if tokens[j].is_punct('{') {
+                        depth += 1;
+                    } else if tokens[j].is_punct('}') {
+                        depth -= 1;
+                    } else if mutates(&tokens[j]) {
+                        flag(&tokens[j]);
+                    }
+                    j += 1;
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Tree walking
 // ---------------------------------------------------------------------
@@ -861,6 +914,17 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, Rule::A5);
         assert!(analyze("crates/core/src/x.rs", "use std::sync::Arc;\n").is_empty());
+    }
+
+    #[test]
+    fn a6_covers_tests_and_ignores_child_process_env() {
+        let src = "#[cfg(test)]\nmod t { fn f() { std::env::set_var(\"K\", \"v\"); } }\n";
+        let v = analyze("crates/x/src/l.rs", src);
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].rule, Rule::A6);
+        assert!(analyze("tests/l.rs", src).is_empty(), "A6 covers crates/ only");
+        let child = "fn f(c: &mut Command) { c.env(\"K\", \"v\").env_remove(\"J\"); }\n";
+        assert!(analyze("crates/x/src/l.rs", child).is_empty());
     }
 
     #[test]

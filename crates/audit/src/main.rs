@@ -20,7 +20,7 @@ use pacga_audit::{audit_tree, AuditConfig, Rule};
 fn usage() -> &'static str {
     "usage: pacga-audit [--root DIR] [--list-rules]\n\
      \n\
-     Runs the repo's static invariant checks (rules A1-A5) over\n\
+     Runs the repo's static invariant checks (rules A1-A6) over\n\
      <root>/crates and <root>/src. Exits 1 on any violation."
 }
 
@@ -64,7 +64,7 @@ fn main() -> ExitCode {
     match audit_tree(&root, &cfg) {
         Ok((n_files, violations)) => {
             if violations.is_empty() {
-                println!("pacga-audit: {n_files} files clean (rules A1-A5)");
+                println!("pacga-audit: {n_files} files clean (rules A1-A6)");
                 ExitCode::SUCCESS
             } else {
                 for v in &violations {

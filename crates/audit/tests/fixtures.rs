@@ -68,6 +68,22 @@ fn a5_fixture_flags_brace_and_qualified_mutex() {
 }
 
 #[test]
+fn a6_fixture_flags_env_mutation_but_not_child_env() {
+    let got = findings("crates/core/src/fixture_a6.rs", include_str!("fixtures/a6_violation.rs"));
+    assert_eq!(got, vec![(4, Rule::A6), (7, Rule::A6), (8, Rule::A6), (9, Rule::A6)]);
+}
+
+#[test]
+fn a6_fixture_covers_test_files_in_crates() {
+    // Tests are where env races live, so A6 has no test exemption.
+    let got =
+        findings("crates/bench/tests/fixture_a6.rs", include_str!("fixtures/a6_violation.rs"));
+    assert_eq!(got.len(), 4, "A6 must cover crates/*/tests: {got:?}");
+    let outside = findings("tests/fixture_a6.rs", include_str!("fixtures/a6_violation.rs"));
+    assert!(outside.is_empty(), "A6 leaked outside crates/: {outside:?}");
+}
+
+#[test]
 fn waived_fixture_is_clean_under_the_strictest_scope() {
     let got = findings("crates/service/src/fixture_waived.rs", include_str!("fixtures/waived.rs"));
     assert!(got.is_empty(), "waivers did not suppress: {got:?}");
@@ -93,6 +109,15 @@ fn exact_report_lines_match_the_contract() {
     assert_eq!(
         render("crates/service/src/fixture_a4.rs", include_str!("fixtures/a4_violation.rs")),
         vec!["crates/service/src/fixture_a4.rs:6 A4", "crates/service/src/fixture_a4.rs:7 A4"]
+    );
+    assert_eq!(
+        render("crates/core/src/fixture_a6.rs", include_str!("fixtures/a6_violation.rs")),
+        vec![
+            "crates/core/src/fixture_a6.rs:4 A6",
+            "crates/core/src/fixture_a6.rs:7 A6",
+            "crates/core/src/fixture_a6.rs:8 A6",
+            "crates/core/src/fixture_a6.rs:9 A6",
+        ]
     );
 }
 

@@ -14,6 +14,8 @@ pub fn fine(flag: &AtomicU64, row: &[u8], s: &Schedule) -> u8 {
     // pacga:allow(A4) — fixture-only raw write.
     std::fs::write("/tmp/x", b"y").ok();
     let _lock: Option<Mutex<u8>> = None;
+    // pacga:allow(A6) — fixture-only environment mutation.
+    std::env::set_var("PA_CGA_FIXTURE", "1");
     // pacga:allow(A2) — fixture-only indexing.
     row[0]
 }

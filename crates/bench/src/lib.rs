@@ -47,16 +47,19 @@ use pa_cga_core::runner::Portfolio;
 /// falling back — a typo'd `PA_CGA_RUNS=1OO` must not quietly run the
 /// default budget.
 pub fn env_u64(name: &str, default: u64) -> u64 {
-    match env_opt_u64(name) {
-        Some(v) => v,
-        None => default,
-    }
+    env_opt_u64(name).unwrap_or(default)
 }
 
 /// [`env_u64`] without a default: `None` when the variable is unset or
 /// rejected (with the same stderr warning on rejection).
 pub fn env_opt_u64(name: &str) -> Option<u64> {
-    let raw = std::env::var(name).ok()?;
+    env_opt_u64_from(name, std::env::var(name).ok().as_deref())
+}
+
+/// [`env_opt_u64`] over an explicit value of variable `name` (`None`
+/// when unset); `name` only labels the rejection warning.
+pub fn env_opt_u64_from(name: &str, raw: Option<&str>) -> Option<u64> {
+    let raw = raw?;
     match raw.parse::<u64>() {
         Ok(v) if v > 0 => Some(v),
         _ => {
@@ -199,18 +202,13 @@ mod tests {
 
     #[test]
     fn env_u64_parses_and_defaults() {
-        std::env::remove_var("PA_CGA_TEST_VAR");
-        assert_eq!(env_u64("PA_CGA_TEST_VAR", 7), 7);
-        std::env::set_var("PA_CGA_TEST_VAR", "42");
-        assert_eq!(env_u64("PA_CGA_TEST_VAR", 7), 42);
-        std::env::set_var("PA_CGA_TEST_VAR", "zero");
-        assert_eq!(env_u64("PA_CGA_TEST_VAR", 7), 7);
-        std::env::set_var("PA_CGA_TEST_VAR", "0");
-        assert_eq!(env_u64("PA_CGA_TEST_VAR", 7), 7, "zero rejected");
-        std::env::set_var("PA_CGA_TEST_VAR", "9");
-        assert_eq!(env_opt_u64("PA_CGA_TEST_VAR"), Some(9));
-        std::env::remove_var("PA_CGA_TEST_VAR");
-        assert_eq!(env_opt_u64("PA_CGA_TEST_VAR"), None);
+        let parse = |raw| env_opt_u64_from("PA_CGA_TEST_VAR", raw);
+        assert_eq!(parse(None), None);
+        assert_eq!(parse(Some("42")), Some(42));
+        assert_eq!(parse(Some("zero")), None);
+        assert_eq!(parse(Some("0")), None, "zero rejected");
+        assert_eq!(parse(Some("9")), Some(9));
+        assert_eq!(env_u64("PA_CGA_TEST_VAR_NEVER_SET", 7), 7);
     }
 
     #[test]
@@ -254,13 +252,29 @@ pub mod experiments;
 /// Directory for CSV result dumps, from `PA_CGA_CSV_DIR`; `None` disables
 /// CSV output (default).
 pub fn csv_dir() -> Option<std::path::PathBuf> {
-    std::env::var("PA_CGA_CSV_DIR").ok().map(std::path::PathBuf::from)
+    csv_dir_from(std::env::var_os("PA_CGA_CSV_DIR"))
+}
+
+/// [`csv_dir`] over an explicit `PA_CGA_CSV_DIR` value (`None` when
+/// unset).
+pub fn csv_dir_from(value: Option<std::ffi::OsString>) -> Option<std::path::PathBuf> {
+    value.map(std::path::PathBuf::from)
 }
 
 /// Writes a CSV result file when `PA_CGA_CSV_DIR` is set; returns the
 /// note appended to harness output (empty when disabled).
 pub fn maybe_write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) -> String {
-    let Some(dir) = csv_dir() else {
+    write_csv_in(csv_dir(), name, header, rows)
+}
+
+/// [`maybe_write_csv`] into an explicit directory; `None` writes nothing.
+pub fn write_csv_in(
+    dir: Option<std::path::PathBuf>,
+    name: &str,
+    header: &[&str],
+    rows: &[Vec<String>],
+) -> String {
+    let Some(dir) = dir else {
         return String::new();
     };
     let write = || -> std::io::Result<std::path::PathBuf> {
@@ -282,16 +296,16 @@ mod csv_tests {
 
     #[test]
     fn disabled_without_env() {
-        std::env::remove_var("PA_CGA_CSV_DIR");
-        assert!(maybe_write_csv("x", &["a"], &[]).is_empty());
+        assert_eq!(csv_dir_from(None), None);
+        assert!(write_csv_in(csv_dir_from(None), "x", &["a"], &[]).is_empty());
     }
 
     #[test]
     fn writes_when_enabled() {
-        let dir = std::env::temp_dir().join("pacga_csv_test");
-        std::env::set_var("PA_CGA_CSV_DIR", &dir);
-        let note = maybe_write_csv("smoke", &["a", "b"], &[vec!["1".into(), "2".into()]]);
-        std::env::remove_var("PA_CGA_CSV_DIR");
+        let dir = std::env::temp_dir().join(format!("pacga_csv_test_{}", std::process::id()));
+        let from_env = csv_dir_from(Some(dir.clone().into_os_string()));
+        assert_eq!(from_env.as_deref(), Some(dir.as_path()));
+        let note = write_csv_in(from_env, "smoke", &["a", "b"], &[vec!["1".into(), "2".into()]]);
         assert!(note.contains("csv written"), "{note}");
         let text = std::fs::read_to_string(dir.join("smoke.csv")).unwrap();
         assert!(text.contains("a,b"));

@@ -242,14 +242,16 @@ impl Semaphore {
 /// [`std::thread::available_parallelism`] — always clamped to
 /// `1..=jobs.max(1)`.
 pub fn resolve_workers(requested: Option<usize>, jobs: usize) -> usize {
+    resolve_workers_from(requested, std::env::var("PA_CGA_WORKERS").ok().as_deref(), jobs)
+}
+
+/// [`resolve_workers`] over an explicit `PA_CGA_WORKERS` value (`None`
+/// when unset): a positive integer wins over the hardware default, any
+/// other value is ignored.
+pub fn resolve_workers_from(requested: Option<usize>, env: Option<&str>, jobs: usize) -> usize {
     let hardware =
         || std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
-    let env = || {
-        std::env::var("PA_CGA_WORKERS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&v| v > 0)
-    };
+    let env = || env.and_then(|v| v.parse::<usize>().ok()).filter(|&v| v > 0);
     requested.or_else(env).unwrap_or_else(hardware).clamp(1, jobs.max(1))
 }
 
@@ -555,10 +557,16 @@ mod tests {
 
     #[test]
     fn resolve_workers_clamps_to_jobs() {
-        std::env::remove_var("PA_CGA_WORKERS");
         assert_eq!(resolve_workers(Some(8), 3), 3);
         assert_eq!(resolve_workers(Some(2), 100), 2);
         assert_eq!(resolve_workers(Some(0), 5), 1);
         assert!(resolve_workers(None, 100) >= 1);
+        assert_eq!(resolve_workers_from(Some(2), Some("5"), 100), 2, "request beats env");
+        assert_eq!(resolve_workers_from(None, Some("5"), 100), 5);
+        assert_eq!(resolve_workers_from(None, Some("5"), 3), 3);
+        let hardware = resolve_workers_from(None, None, 100);
+        assert!(hardware >= 1);
+        assert_eq!(resolve_workers_from(None, Some("0"), 100), hardware, "zero ignored");
+        assert_eq!(resolve_workers_from(None, Some("many"), 100), hardware, "garbage ignored");
     }
 }

@@ -824,7 +824,6 @@ fn finalize(
     entry.elapsed_base_ms.store(manifest.elapsed_ms, Ordering::Relaxed);
     *entry.run_started.lock() = None;
     *entry.error.lock() = error.clone();
-    entry.set_state(state);
     let _ = write_json_atomic(&entry.dir.join("manifest.json"), &manifest.to_json(&entry.name));
     match state {
         JobState::Done => {
@@ -843,6 +842,9 @@ fn finalize(
         JobState::Stopped => append_progress(&entry.dir, "stopped"),
         _ => {}
     }
+    // Published last: a status reader that sees the terminal state also
+    // sees its manifest, its progress line and the manager counters.
+    entry.set_state(state);
 }
 
 /// Writes `result.json` + `trace.csv` for a completed job.

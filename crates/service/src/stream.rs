@@ -16,12 +16,20 @@
 //!   counts toward its budget; the warm path inherits an evaluated
 //!   population, which is exactly the advantage being measured.
 //!
+//! The cold path reads only the post-event world and its own seed, so
+//! it runs on a scoped thread of its own while the connection thread
+//! runs the warm path: a session uses up to 2 cores per in-flight
+//! event, outside `serve --workers` accounting. Both engines are
+//! single-threaded and seeded, so the answers are bit-identical to
+//! running the two paths one after the other.
+//!
 //! The chunked warm run yields `recovery_evals`: the post-repair
 //! evaluations (chunk-granular) until the warm best first matched the
 //! cold restart's final best. The engine is deterministic at one
 //! thread, so this metric is bit-stable across hosts — the CI chaos
 //! stage asserts on it instead of wall-clock (which is still reported
-//! as `recovery_ms` percentiles; see [`pa_cga_stats::recovery`]).
+//! as `recovery_ms` percentiles, the event's wall time with the cold
+//! run overlapped; see [`pa_cga_stats::recovery`]).
 //!
 //! **Durability.** A session opened with a `session` name persists
 //! under `<data-dir>/sessions/<name>/`:
@@ -43,6 +51,7 @@ use crate::json::Json;
 use crate::protocol::{
     StreamEventRequest, StreamOpenRequest, StreamOpenedBody, StreamResultBody, StreamSummaryBody,
 };
+use etc_model::EtcInstance;
 use grid_sim::{DynamicGrid, GridEvent, MctRescheduler, TaskRemap};
 use heuristics::Heuristic;
 use pa_cga_core::checkpoint::{self, CheckpointMeta};
@@ -61,6 +70,18 @@ const WARM_CHUNKS: u64 = 8;
 /// Odd 64-bit constant (splitmix64's increment) decorrelating per-chunk
 /// engine seeds.
 const SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// What one event's warm path produced.
+struct WarmRun {
+    /// The evolved population, in the post-event world's gene space.
+    pop: Vec<Individual>,
+    /// Best makespan of the repaired population, before any evolution.
+    repair_makespan: f64,
+    /// `(evaluations spent so far, best makespan)` after each chunk.
+    chunks: Vec<(u64, f64)>,
+    /// Generations summed over the chunks.
+    generations: u64,
+}
 
 /// A typed stream failure: machine-readable code + human detail.
 pub type StreamFailure = (String, String);
@@ -372,64 +393,36 @@ impl StreamSession {
         let started = Instant::now();
         let makespan_before = self.best;
         let remap = self.grid.apply(&event).map_err(|e| (e.code().to_string(), e.to_string()))?;
-
-        // Repair: every individual is normalized onto the new world.
-        let repaired: Vec<Vec<u32>> = self
-            .population
-            .iter()
-            .map(|g| self.grid.repair_assignment(g, remap, &MctRescheduler))
-            .collect();
         let sub = self.grid.sub_instance();
-        let mut local: Vec<Vec<u32>> =
-            repaired.iter().filter_map(|g| self.grid.to_local(g)).collect();
-
-        // Immigrant refresh (Grefenstette-style): a converged population
-        // repaired onto the changed world can be a stale local optimum
-        // that pure resumption never escapes. Re-rank the survivors and
-        // replace the tail with the heuristic cohort computed on the NEW
-        // world, so the warm run keeps its elite AND the diversity a
-        // cold restart gets for free.
-        local.sort_by(|a, b| {
-            let fa = Schedule::from_assignment(&sub, a.clone()).makespan();
-            let fb = Schedule::from_assignment(&sub, b.clone()).makespan();
-            fa.total_cmp(&fb)
-        });
-        let immigrants: Vec<Vec<u32>> =
-            Heuristic::all().iter().map(|h| h.schedule(&sub).assignment().to_vec()).collect();
-        let keep = local.len().saturating_sub(immigrants.len()).max(1);
-        local.truncate(keep);
-        local.extend(immigrants);
-
-        // Cold restart: fresh Min-min-seeded engine, full budget.
         let event_seed = self.seed.wrapping_add(self.grid.version().wrapping_mul(SEED_STRIDE));
-        let cold_outcome = PaCga::new(&sub, self.engine_config(self.budget, event_seed)).run();
-        let cold_makespan = cold_outcome.best.makespan();
-        self.evaluations += cold_outcome.evaluations;
+        let cold_cfg = self.engine_config(self.budget, event_seed);
 
-        // Warm resume, chunked so recovery_evals has sub-budget
-        // resolution.
-        let mut pop = warm_population(&sub, &self.engine_config(self.budget, event_seed), &local);
-        let repair_makespan = min_fitness(&pop);
-        let mut warm_best = repair_makespan;
-        let mut spent = 0u64;
-        let mut recovery = (repair_makespan <= cold_makespan).then_some(0u64);
-        let mut chunk_idx = 0u64;
-        while spent < self.budget {
-            let chunk = (self.budget / WARM_CHUNKS).max(1).min(self.budget - spent);
-            let seed = event_seed.wrapping_add((chunk_idx + 1).wrapping_mul(SEED_STRIDE));
-            let engine_cfg = self.engine_config(chunk, seed);
-            let (outcome, next) = PaCga::new(&sub, engine_cfg).run_seeded(pop);
-            spent += outcome.evaluations;
-            self.evaluations += outcome.evaluations;
-            self.generations += outcome.generations.iter().sum::<u64>();
-            warm_best = outcome.best.makespan();
-            pop = next;
-            if recovery.is_none() && warm_best <= cold_makespan {
-                recovery = Some(spent);
-            }
-            chunk_idx += 1;
-        }
-        let recovery_evals = recovery.unwrap_or(self.budget);
+        // The cold restart (fresh Min-min-seeded engine, full budget)
+        // reads only `sub` and its own seed, so it evolves on a second
+        // thread while this one repairs and resumes the warm population.
+        // A panic on the cold thread is re-raised here, just as a panic
+        // in an inline cold run would have propagated.
+        let (cold_outcome, warm) = std::thread::scope(|scope| {
+            let cold = scope.spawn(|| PaCga::new(&sub, cold_cfg).run());
+            let warm = self.warm_run(&sub, remap, event_seed);
+            let cold = cold.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (cold, warm)
+        });
+        let cold_makespan = cold_outcome.best.makespan();
+        let WarmRun { pop, repair_makespan, chunks, generations } = warm;
+        let (spent, warm_best) = chunks.last().copied().unwrap_or((0, repair_makespan));
+        self.evaluations += cold_outcome.evaluations + spent;
+        self.generations += generations;
+        // The post-repair evaluations (chunk-granular) until the warm
+        // best first matched the cold restart's final best.
+        let recovery_evals = if repair_makespan <= cold_makespan {
+            0
+        } else {
+            chunks
+                .iter()
+                .find(|&&(_, best)| best <= cold_makespan)
+                .map_or(self.budget, |&(spent, _)| spent)
+        };
 
         // Commit the new population (global gene space).
         self.population =
@@ -486,6 +479,56 @@ impl StreamSession {
             baseline_makespan,
             assignment,
         }))
+    }
+
+    /// The warm path of one event: repairs the population onto the
+    /// post-event world `sub`, refreshes its tail with immigrants, and
+    /// resumes evolution in [`WARM_CHUNKS`] chunks of the budget.
+    fn warm_run(&self, sub: &EtcInstance, remap: TaskRemap, event_seed: u64) -> WarmRun {
+        // Repair: every individual is normalized onto the new world,
+        // then priced once for the rank below.
+        let mut ranked: Vec<(f64, Vec<u32>)> = self
+            .population
+            .iter()
+            .filter_map(|g| {
+                self.grid.to_local(&self.grid.repair_assignment(g, remap, &MctRescheduler))
+            })
+            .map(|genes| (Schedule::from_assignment(sub, genes.clone()).makespan(), genes))
+            .collect();
+
+        // Immigrant refresh (Grefenstette-style): a converged population
+        // repaired onto the changed world can be a stale local optimum
+        // that pure resumption never escapes. Re-rank the survivors
+        // (stable, so ties keep population order) and replace the tail
+        // with the heuristic cohort computed on the NEW world, so the
+        // warm run keeps its elite AND the diversity a cold restart gets
+        // for free.
+        ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let immigrants: Vec<Vec<u32>> =
+            Heuristic::all().iter().map(|h| h.schedule(sub).assignment().to_vec()).collect();
+        let keep = ranked.len().saturating_sub(immigrants.len()).max(1);
+        let local: Vec<Vec<u32>> =
+            ranked.into_iter().take(keep).map(|(_, genes)| genes).chain(immigrants).collect();
+        let mut pop = warm_population(sub, &self.engine_config(self.budget, event_seed), &local);
+        // Freed before the chunks: they overlap the cold run's peak.
+        drop(local);
+
+        // Warm resume, chunked so recovery_evals has sub-budget
+        // resolution.
+        let repair_makespan = min_fitness(&pop);
+        let mut chunks = Vec::with_capacity(WARM_CHUNKS as usize);
+        let mut generations = 0u64;
+        let mut spent = 0u64;
+        while spent < self.budget {
+            let chunk = (self.budget / WARM_CHUNKS).max(1).min(self.budget - spent);
+            let seed = event_seed.wrapping_add((chunks.len() as u64 + 1).wrapping_mul(SEED_STRIDE));
+            let (outcome, next) = PaCga::new(sub, self.engine_config(chunk, seed)).run_seeded(pop);
+            spent += outcome.evaluations;
+            generations += outcome.generations.iter().sum::<u64>();
+            chunks.push((spent, outcome.best.makespan()));
+            pop = next;
+        }
+        WarmRun { pop, repair_makespan, chunks, generations }
     }
 
     /// Persists the session: world, meta, population. Atomic per file.
@@ -792,6 +835,52 @@ mod tests {
         let req = decode_open(r#"{"type":"stream.open","session":"s1","etc":[[1,2]],"evals":10}"#);
         let (code, _) = StreamSession::open(req, None).unwrap_err();
         assert_eq!(code, "no_data_dir");
+    }
+
+    /// FNV-1a over every gene of the population, individual by
+    /// individual: a compact fingerprint of its exact contents and order.
+    fn population_digest(population: &[Vec<u32>]) -> u64 {
+        population.iter().flatten().fold(0xcbf2_9ce4_8422_2325, |h, &g| {
+            (h ^ u64::from(g)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Pins every answer of one event of each kind, bit for bit, to the
+    /// values the sequential warm-then-cold event path produced. Each
+    /// row: the event, then the bit patterns of `makespan`,
+    /// `repair_makespan` and `cold_makespan`, `recovery_evals`,
+    /// `warm_beats_cold`, and the digest of the committed population.
+    #[test]
+    fn golden_answers_for_every_event_kind() {
+        #[rustfmt::skip]
+        let golden: [(&str, u64, u64, u64, u64, bool, u64); 5] = [
+            (r#"{"kind":"machine.down","machine":1}"#,
+             0x4149_948b_90f8_813f, 0x4149_948b_90f8_813f, 0x4149_7ce5_a78f_eaa4, 400, false, 0xdb27_1b84_0768_c96f),
+            (r#"{"kind":"etc.drift","epsilon":0.3,"seed":4}"#,
+             0x4146_8784_2ebd_1ca9, 0x4146_8784_2ebd_1ca9, 0x4146_8784_2ebd_1ca9, 0, true, 0xba3d_57ca_e957_e4e5),
+            (r#"{"kind":"task.arrive","etc":[5,9,2,7]}"#,
+             0x4146_8784_2ebd_1ca9, 0x4146_8784_2ebd_1ca9, 0x4146_8784_2ebd_1ca9, 0, true, 0x8416_0723_ca70_3fa8),
+            (r#"{"kind":"machine.up","machine":1}"#,
+             0x413f_2668_4cb8_7656, 0x4140_0830_28c2_0bcd, 0x413f_3588_18d9_ba1d, 64, true, 0x050f_ec7c_c677_1e1d),
+            (r#"{"kind":"task.cancel","task":3}"#,
+             0x413e_bd9a_e1b7_feca, 0x413e_c727_8ca3_9cd3, 0x413d_fdb9_44f1_a87a, 400, false, 0xe8a5_ba86_dcaf_52c2),
+        ];
+        let (mut s, _) = open_toy();
+        for (seq, &(event, makespan, repair, cold, recovery, wins, digest)) in
+            golden.iter().enumerate()
+        {
+            let r = s
+                .handle_event(decode_event(&format!(
+                    r#"{{"type":"stream.event","seq":{seq},"event":{event}}}"#
+                )))
+                .expect("event applies");
+            assert_eq!(r.makespan.to_bits(), makespan, "{event}: makespan");
+            assert_eq!(r.repair_makespan.to_bits(), repair, "{event}: repair_makespan");
+            assert_eq!(r.cold_makespan.to_bits(), cold, "{event}: cold_makespan");
+            assert_eq!(r.recovery_evals, recovery, "{event}: recovery_evals");
+            assert_eq!(r.warm_beats_cold, wins, "{event}: warm_beats_cold");
+            assert_eq!(population_digest(&s.population), digest, "{event}: population");
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 #
 #   scripts/ci.sh                    # all stages
 #   scripts/ci.sh --fast             # inner-loop gate: stages 0-3 only
+#                                    # (2c miri and 2d repeat skipped)
 #   scripts/ci.sh --self-test-audit  # prove the audit gate can fail:
 #                                    # seed a violation, expect exit != 0
 #
@@ -13,9 +14,9 @@
 #   1 build  cargo build --release (every crate, every target — benches
 #            and experiment binaries must at least compile)
 #   1b audit pacga-audit, the in-tree invariant analyzer (DESIGN.md §11):
-#            rules A1-A5 over crates/ and src/, hard fail on any
-#            violation; the stage first self-tests by seeding a
-#            violation into a temp tree and requiring a non-zero exit
+#            rules A1-A6 over crates/ and src/, hard fail on any
+#            violation; the stage first self-tests by seeding A2 and A6
+#            violations into a temp tree and requiring a non-zero exit
 #   1c clippy cargo clippy --workspace --all-targets -- -D warnings
 #            (soft-skip with a visible WARN when clippy is unavailable)
 #   2 test   cargo test -q (unit + property + integration + doc tests)
@@ -27,6 +28,10 @@
 #   2c miri  cargo miri test on the core concurrency subset, time-boxed
 #            to 120s (soft-skip with a visible WARN when the miri
 #            component is unavailable; skipped under --fast)
+#   2d repeat ordering-flake gate: cargo test -q three more times, once
+#            with --test-threads=1 and twice with the default; any run
+#            that disagrees with the others (pass/fail or per-binary
+#            test counts) fails the stage (skipped under --fast)
 #   3 doc    cargo doc --no-deps with warnings denied (doc rot fails fast)
 #   4 bench  bench smoke (every criterion bench body runs once) plus the
 #            perf-regression gate: scripts/bench_check.sh --self-test,
@@ -65,28 +70,32 @@ for arg in "$@"; do
   esac
 done
 
-# Seeds one known violation into a throwaway tree and requires the
-# analyzer to (a) exit non-zero and (b) name the exact file:line rule.
+# Seeds known violations into a throwaway tree and requires the
+# analyzer to (a) exit non-zero and (b) name each exact file:line rule.
 # Proves the audit gate is live — a gate that cannot fail gates nothing.
 audit_self_test() {
-  local tmp out
+  local tmp out want
   tmp="$(mktemp -d)"
-  mkdir -p "$tmp/crates/service/src"
+  mkdir -p "$tmp/crates/service/src" "$tmp/crates/bench/tests"
   printf 'pub fn f(v: &[u8]) -> u8 { v[0] }\n' >"$tmp/crates/service/src/seeded.rs"
+  printf '#[test]\nfn t() {\n    std::env::set_var("K", "v");\n}\n' \
+    >"$tmp/crates/bench/tests/seeded.rs"
   if out="$(target/release/pacga-audit --root "$tmp" 2>&1)"; then
-    echo "audit self-test: seeded violation was NOT detected" >&2
+    echo "audit self-test: seeded violations were NOT detected" >&2
     echo "$out" >&2
     rm -rf "$tmp"
     return 1
   fi
-  grep -q "crates/service/src/seeded.rs:1 A2" <<<"$out" || {
-    echo "audit self-test: violation detected but report malformed:" >&2
-    echo "$out" >&2
-    rm -rf "$tmp"
-    return 1
-  }
+  for want in "crates/service/src/seeded.rs:1 A2" "crates/bench/tests/seeded.rs:3 A6"; do
+    grep -q "$want" <<<"$out" || {
+      echo "audit self-test: expected \"$want\" in the report:" >&2
+      echo "$out" >&2
+      rm -rf "$tmp"
+      return 1
+    }
+  done
   rm -rf "$tmp"
-  echo "audit self-test: seeded A2 violation detected, exit non-zero, report well-formed"
+  echo "audit self-test: seeded A2 and A6 violations detected, exit non-zero, report well-formed"
 }
 
 if [[ "$SELF_TEST_AUDIT" == 1 ]]; then
@@ -151,7 +160,7 @@ begin "1:build" "cargo build --release (all targets)"
 cargo build --release --workspace --all-targets
 finish
 
-begin "1b:audit" "pacga-audit invariant analyzer (rules A1-A5)"
+begin "1b:audit" "pacga-audit invariant analyzer (rules A1-A6)"
 audit_self_test
 target/release/pacga-audit --root .
 finish
@@ -205,6 +214,35 @@ else
     echo "WARN: miri component unavailable on this toolchain — UB gate soft-skipped" >&2
     finish "skipped (no miri)"
   fi
+fi
+
+if [[ "$FAST" == 1 ]]; then
+  skip "2d:repeat" "--fast"
+else
+  begin "2d:repeat" "cargo test -q x3 (once --test-threads=1): runs must agree"
+  # Each run is reduced to its per-binary "test result" lines (counts
+  # only, timings stripped), the names of failed tests, and its exit
+  # status; ordering or shared-state flakes show up as a run whose
+  # summary differs from the others, naming the test that flaked.
+  repeat_summary() {
+    local rc=0 out
+    out="$(cargo test -q --workspace -- "$@" 2>&1)" || rc=$?
+    sed -n -e 's/^test result: \([a-zA-Z]*\)\. \([0-9]* passed; [0-9]* failed\).*/\1 \2/p' \
+      -e 's/^---- \(.*\) stdout ----$/failed: \1/p' <<<"$out"
+    echo "exit $rc"
+  }
+  REPEAT_SERIAL="$(repeat_summary --test-threads=1)"
+  REPEAT_A="$(repeat_summary)"
+  REPEAT_B="$(repeat_summary)"
+  if [[ "$REPEAT_SERIAL" != "$REPEAT_A" || "$REPEAT_A" != "$REPEAT_B" ]]; then
+    echo "cargo test runs disagree (serial / parallel / parallel):" >&2
+    diff <(echo "$REPEAT_SERIAL") <(echo "$REPEAT_A") >&2 || true
+    diff <(echo "$REPEAT_A") <(echo "$REPEAT_B") >&2 || true
+    false
+  fi
+  grep -qx "exit 0" <<<"$REPEAT_A" || { echo "cargo test failed in every repeat" >&2; false; }
+  echo "3 runs agree: $(grep -c '^ok' <<<"$REPEAT_A") test binaries, all green"
+  finish
 fi
 
 begin "3:doc" "cargo doc --no-deps (warnings denied)"
