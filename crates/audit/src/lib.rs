@@ -19,9 +19,9 @@
 //! * **A5** — no `std::sync::Mutex` outside `vendor/` (the vendored
 //!   `parking_lot` stand-in is the only lock supplier).
 //! * **A6** — no `std::env::set_var` / `remove_var` anywhere in
-//!   `crates/`, tests included: the environment is process-global, so a
-//!   test that mutates it races every sibling test that reads it. Env
-//!   readers take the value as an argument instead.
+//!   `crates/` or the root `tests/`, tests included: the environment is
+//!   process-global, so a test that mutates it races every sibling test
+//!   that reads it. Env readers take the value as an argument instead.
 //!
 //! The analyzer is dependency-free by design: a lightweight hand-rolled
 //! lexer (comments, nested block comments, raw/byte strings, char
@@ -46,7 +46,7 @@ pub enum Rule {
     A4,
     /// `std::sync::Mutex` outside `vendor/`.
     A5,
-    /// Process-environment mutation under `crates/`.
+    /// Process-environment mutation under `crates/` or `tests/`.
     A6,
 }
 
@@ -76,7 +76,9 @@ impl Rule {
             }
             Rule::A4 => "raw fs::write/File::create outside the pa_cga_core::fsx atomic helper",
             Rule::A5 => "std::sync::Mutex outside vendor/ (use the vendored parking_lot)",
-            Rule::A6 => "std::env::set_var/remove_var anywhere in crates/ (inject the value)",
+            Rule::A6 => {
+                "std::env::set_var/remove_var anywhere in crates/ or tests/ (inject the value)"
+            }
         }
     }
 }
@@ -534,7 +536,7 @@ pub fn analyze_source(rel_path: &str, source: &str, cfg: &AuditConfig) -> Vec<Vi
         rule_a4(&cx, &mut out);
     }
     rule_a5(&cx, &mut out);
-    if rel_path.starts_with("crates/") {
+    if rel_path.starts_with("crates/") || rel_path.starts_with("tests/") {
         rule_a6(&cx, &mut out);
     }
 
@@ -780,13 +782,13 @@ fn rule_a6(cx: &FileCx<'_>, out: &mut Vec<Violation>) {
 // Tree walking
 // ---------------------------------------------------------------------
 
-/// Collects the `.rs` files the audit covers: `<root>/crates` and
-/// `<root>/src`, excluding `vendor/`, `target/`, and the analyzer's own
-/// seeded-violation fixtures. Paths come back sorted, repo-relative,
-/// forward-slashed.
+/// Collects the `.rs` files the audit covers: `<root>/crates`,
+/// `<root>/src` and `<root>/tests`, excluding `vendor/`, `target/`, and
+/// the analyzer's own seeded-violation fixtures. Paths come back sorted,
+/// repo-relative, forward-slashed.
 pub fn collect_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
-    for top in ["crates", "src"] {
+    for top in ["crates", "src", "tests"] {
         let dir = root.join(top);
         if dir.is_dir() {
             walk(&dir, &mut files)?;
@@ -922,7 +924,8 @@ mod tests {
         let v = analyze("crates/x/src/l.rs", src);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, Rule::A6);
-        assert!(analyze("tests/l.rs", src).is_empty(), "A6 covers crates/ only");
+        assert_eq!(analyze("tests/l.rs", src).len(), 1, "A6 covers the root tests/");
+        assert!(analyze("vendor/x/src/l.rs", src).is_empty(), "A6 stays out of vendor/");
         let child = "fn f(c: &mut Command) { c.env(\"K\", \"v\").env_remove(\"J\"); }\n";
         assert!(analyze("crates/x/src/l.rs", child).is_empty());
     }

@@ -21,7 +21,7 @@ fn usage() -> &'static str {
     "usage: pacga-audit [--root DIR] [--list-rules]\n\
      \n\
      Runs the repo's static invariant checks (rules A1-A6) over\n\
-     <root>/crates and <root>/src. Exits 1 on any violation."
+     <root>/crates, <root>/src and <root>/tests. Exits 1 on any violation."
 }
 
 fn main() -> ExitCode {

@@ -75,12 +75,15 @@ fn a6_fixture_flags_env_mutation_but_not_child_env() {
 
 #[test]
 fn a6_fixture_covers_test_files_in_crates() {
-    // Tests are where env races live, so A6 has no test exemption.
-    let got =
-        findings("crates/bench/tests/fixture_a6.rs", include_str!("fixtures/a6_violation.rs"));
+    // Tests are where env races live, so A6 has no test exemption: it
+    // covers crates/*/tests and the root tests/ alike.
+    let fixture = include_str!("fixtures/a6_violation.rs");
+    let got = findings("crates/bench/tests/fixture_a6.rs", fixture);
     assert_eq!(got.len(), 4, "A6 must cover crates/*/tests: {got:?}");
-    let outside = findings("tests/fixture_a6.rs", include_str!("fixtures/a6_violation.rs"));
-    assert!(outside.is_empty(), "A6 leaked outside crates/: {outside:?}");
+    let root = findings("tests/fixture_a6.rs", fixture);
+    assert_eq!(root.len(), 4, "A6 must cover the root tests/: {root:?}");
+    let outside = findings("vendor/rand/src/fixture_a6.rs", fixture);
+    assert!(outside.is_empty(), "A6 leaked into vendor/: {outside:?}");
 }
 
 #[test]

@@ -49,12 +49,21 @@ impl Row {
 /// (`PA_CGA_GENS`) the rows are byte-identical at any worker count,
 /// including the sequential `PA_CGA_WORKERS=1` path.
 pub fn compute_rows(budget: &Budget) -> Vec<Row> {
+    compute_rows_on(budget, None)
+}
+
+/// [`compute_rows`] on an explicit worker count; `None` resolves it the
+/// way [`Portfolio`] does (`PA_CGA_WORKERS`, else available parallelism).
+pub fn compute_rows_on(budget: &Budget, workers: Option<usize>) -> Vec<Row> {
     let long = budget.long_termination();
     let short = budget.short_termination();
     let runs = budget.runs;
     let suite = benchmark_suite();
 
-    let mut portfolio = Portfolio::new();
+    let mut portfolio = match workers {
+        Some(n) => Portfolio::new().with_workers(n),
+        None => Portfolio::new(),
+    };
     for (meta, instance) in &suite {
         for seed in 0..runs {
             portfolio.submit(

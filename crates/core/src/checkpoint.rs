@@ -34,12 +34,46 @@ use std::path::Path;
 /// Format magic + version.
 const HEADER: &str = "pacga-checkpoint v2";
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) — the trailer
-/// checksum here and the per-record checksum of the `.pacst` corpus
-/// store (FORMAT.md §4), which reuses this implementation so the whole
-/// workspace agrees on one CRC. Bitwise implementation: checkpoint files
-/// are small and written once per cadence interval, so a lookup table
-/// buys nothing.
+/// The reflected CRC-32 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic byte-at-a-time
+/// table, and `CRC_TABLES[k][b]` is the CRC of byte `b` followed by
+/// `k` zero bytes, so eight table lookups fold eight input bytes.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut c = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = (c >> 1) ^ (CRC_POLY & (c & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[0][b] = c;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`, init and
+/// xor-out `0xFFFFFFFF`) — the trailer checksum here and the per-record
+/// checksum of the `.pacst` corpus store (FORMAT.md §4), which reuses
+/// this implementation so the whole workspace agrees on one CRC.
+/// Table-driven (slicing-by-8): a corpus warm boot re-checks every
+/// record, so the checksum sits on the daemon's startup path.
 pub struct Crc32(u32);
 
 impl Crc32 {
@@ -50,13 +84,24 @@ impl Crc32 {
 
     /// Folds `bytes` into the running checksum.
     pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u32;
-            for _ in 0..8 {
-                let mask = (self.0 & 1).wrapping_neg();
-                self.0 = (self.0 >> 1) ^ (0xEDB8_8320 & mask);
-            }
+        let t = &CRC_TABLES;
+        let mut crc = self.0;
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][w[4] as usize]
+                ^ t[2][w[5] as usize]
+                ^ t[1][w[6] as usize]
+                ^ t[0][w[7] as usize];
         }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        self.0 = crc;
     }
 
     /// The final (bit-inverted) checksum.
@@ -313,12 +358,73 @@ mod tests {
             .build()
     }
 
+    /// The bitwise CRC the tables are checked against: 8 shift/xor
+    /// steps per byte, straight from the polynomial.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            }
+        }
+        crc ^ 0xFFFF_FFFF
+    }
+
+    /// Deterministic non-trivial bytes (xorshift), no RNG dependency.
+    fn noise(len: usize) -> Vec<u8> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect()
+    }
+
     #[test]
     fn crc32_known_vector() {
-        // The classic "123456789" check value.
+        // The classic "123456789" check value; the empty input is 0.
         let mut crc = Crc32::new();
         crc.update(b"123456789");
         assert_eq!(crc.finish(), 0xCBF4_3926);
+        assert_eq!(Crc32::of(&[]), 0);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn crc32_table_matches_bitwise_at_every_length_and_offset() {
+        let bytes = noise(300 + 8);
+        for start in 0..8 {
+            for len in 0..=300 {
+                let slice = &bytes[start..start + len];
+                assert_eq!(Crc32::of(slice), crc32_bitwise(slice), "start {start} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_split_updates_match_one_shot() {
+        let bytes = noise(1000);
+        let whole = Crc32::of(&bytes);
+        // Split points from a second xorshift stream: pieces of 0..=23
+        // bytes, so every residue of 8 and empty pieces occur.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..50 {
+            let mut crc = Crc32::new();
+            let mut rest = bytes.as_slice();
+            while !rest.is_empty() {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let (head, tail) = rest.split_at(((x % 24) as usize).min(rest.len()));
+                crc.update(head);
+                rest = tail;
+            }
+            assert_eq!(crc.finish(), whole);
+        }
     }
 
     #[test]

@@ -152,8 +152,11 @@ pub struct ChaosReport {
     pub warm_losses: u64,
     /// Mean evaluations saved per event by the warm start.
     pub mean_evals_saved: f64,
-    /// Recovery wall-clock percentiles over this run's events.
+    /// Warm-path (`recovery_ms`) percentiles over this run's events.
     pub recovery: Option<LatencySummary>,
+    /// Cold-restart (`cold_ms`) percentiles over this run's events; the
+    /// cold run overlaps the warm path on a thread of its own.
+    pub cold: Option<LatencySummary>,
     /// Best makespan at close.
     pub best_makespan: f64,
     /// Machines alive when the session closed.
@@ -186,10 +189,17 @@ impl std::fmt::Display for ChaosReport {
         match &self.recovery {
             Some(lat) => writeln!(
                 f,
-                "recovery  : p50 {:.1}ms, p99 {:.1}ms over {} events",
+                "recovery  : p50 {:.1}ms, p99 {:.1}ms over {} events (warm path)",
                 lat.p50_ms, lat.p99_ms, lat.count
             )?,
             None => writeln!(f, "recovery  : no samples")?,
+        }
+        if let Some(lat) = &self.cold {
+            writeln!(
+                f,
+                "cold run  : p50 {:.1}ms, p99 {:.1}ms (overlapped, on its own thread)",
+                lat.p50_ms, lat.p99_ms
+            )?;
         }
         writeln!(
             f,
@@ -541,6 +551,7 @@ pub fn run_chaos(config: &ChaosConfig) -> Result<ChaosReport, ClientError> {
 
     let mut script = ScriptGen::new(config.seed, config.storm);
     let mut recovery = RecoveryStats::new();
+    let mut cold_ms: Vec<f64> = Vec::new();
     let mut violations: Vec<String> = Vec::new();
     let mut probes_sent = 0u64;
     let mut events_applied = 0u64;
@@ -603,6 +614,7 @@ pub fn run_chaos(config: &ChaosConfig) -> Result<ChaosReport, ClientError> {
         check_result(&reply, seq, &event, &mut world, &mut violations);
         seq += 1;
 
+        cold_ms.push(num(&reply, "cold_ms").unwrap_or(0.0));
         recovery.record(RecoverySample {
             recovery_ms: num(&reply, "recovery_ms").unwrap_or(0.0),
             recovery_evals: unum(&reply, "recovery_evals").unwrap_or(0),
@@ -639,6 +651,7 @@ pub fn run_chaos(config: &ChaosConfig) -> Result<ChaosReport, ClientError> {
         warm_losses,
         mean_evals_saved: recovery.mean_evals_saved(),
         recovery: recovery.latency(),
+        cold: (!cold_ms.is_empty()).then(|| LatencySummary::from_millis(&cold_ms)),
         best_makespan: num(&closed, "best_makespan").unwrap_or(f64::NAN),
         alive_at_close: world.n_machines - world.down.len(),
         drained,

@@ -878,8 +878,11 @@ pub struct StreamResultBody {
     pub repair_makespan: f64,
     /// Best makespan after the warm path spent the event budget.
     pub makespan: f64,
-    /// Wall-clock from event receipt to this response, ms.
+    /// Warm-path wall time, ms: from the event being applied to the
+    /// last warm chunk finishing (the wait for the cold run excluded).
     pub recovery_ms: f64,
+    /// The overlapped cold restart's own run time, ms.
+    pub cold_ms: f64,
     /// Post-repair evaluations until the warm best first reached the
     /// cold restart's final best (= `budget_evals` if never).
     pub recovery_evals: u64,
@@ -1174,6 +1177,7 @@ impl Response {
                     ("repair_makespan", Json::num(b.repair_makespan)),
                     ("makespan", Json::num(b.makespan)),
                     ("recovery_ms", Json::num(b.recovery_ms)),
+                    ("cold_ms", Json::num(b.cold_ms)),
                     ("recovery_evals", Json::num(b.recovery_evals as f64)),
                     ("budget_evals", Json::num(b.budget_evals as f64)),
                     ("cold_makespan", Json::num(b.cold_makespan)),
@@ -1673,6 +1677,7 @@ mod tests {
                 repair_makespan: 15.0,
                 makespan: 13.0,
                 recovery_ms: 4.2,
+                cold_ms: 3.9,
                 recovery_evals: 320,
                 budget_evals: 1000,
                 cold_makespan: 13.5,
@@ -1718,6 +1723,7 @@ mod tests {
             repair_makespan: 1.0,
             makespan: 1.0,
             recovery_ms: 0.1,
+            cold_ms: 0.1,
             recovery_evals: 0,
             budget_evals: 10,
             cold_makespan: 1.0,

@@ -17,7 +17,8 @@
 //! record, so a lookup over any `Read + Seek` handle is O(1) seeks
 //! regardless of corpus size — open reads the fixed header, the section
 //! table and the (small) indexes; each `get_*` is one seek + one framed
-//! read, no text parse.
+//! read, no text parse. A full scan (`bests`, `verify`, ...) is one seek
+//! per section followed by sequential reads.
 //!
 //! Durability: files are written in one [`pa_cga_core::fsx`] atomic
 //! write (tmp + fsync + rename), so a crash mid-write leaves the old
@@ -723,7 +724,24 @@ impl<R: Read + Seek> StoreReader<R> {
 
     /// Reads one CRC-framed record at an absolute file offset.
     fn read_record(&mut self, offset: u64, what: &'static str) -> Result<Vec<u8>, StoreError> {
-        let frame = read_exact_at(&mut self.handle, offset, 8, what)?;
+        self.handle.seek(SeekFrom::Start(offset))?;
+        let mut body = Vec::new();
+        self.read_frame(offset, &mut body, what)?;
+        Ok(body)
+    }
+
+    /// Reads the record frame the handle is positioned at (`offset` in
+    /// the file) and its body into `body`, checking the body's CRC. The
+    /// frame's length is checked against the file before `body` is
+    /// sized, so a corrupt length never drives an allocation.
+    fn read_frame(
+        &mut self,
+        offset: u64,
+        body: &mut Vec<u8>,
+        what: &'static str,
+    ) -> Result<(), StoreError> {
+        let mut frame = [0u8; 8];
+        read_exact_into(&mut self.handle, &mut frame, what)?;
         let len = u32_at(&frame, 0, what)? as u64;
         let stored = u32_at(&frame, 4, what)?;
         let end = offset.checked_add(8).and_then(|o| o.checked_add(len));
@@ -731,12 +749,13 @@ impl<R: Read + Seek> StoreReader<R> {
             Some(end) if end <= self.file_len => {}
             _ => return Err(StoreError::Corrupt(format!("record at {offset} overruns the file"))),
         }
-        let body = read_exact_at(&mut self.handle, offset + 8, len as usize, what)?;
-        let computed = Crc32::of(&body);
+        body.resize(len as usize, 0);
+        read_exact_into(&mut self.handle, body, what)?;
+        let computed = Crc32::of(body);
         if stored != computed {
             return Err(StoreError::Crc { what: what.into(), stored, computed });
         }
-        Ok(body)
+        Ok(())
     }
 
     /// O(1) instance lookup by name: index probe → one seek → one
@@ -768,6 +787,9 @@ impl<R: Read + Seek> StoreReader<R> {
         Ok(None)
     }
 
+    /// Visits the `count` records of section `kind` in file order: one
+    /// seek to the first frame, then sequential reads into one reused
+    /// body buffer, every record CRC-checked.
     fn walk_records(
         &mut self,
         kind: u32,
@@ -778,19 +800,22 @@ impl<R: Read + Seek> StoreReader<R> {
         let Some(s) = self.section(kind) else { return Ok(()) };
         let mut offset = s.offset + 8;
         let end = s.offset + s.len;
+        self.handle.seek(SeekFrom::Start(offset))?;
+        let mut body = Vec::new();
         for _ in 0..count {
             if offset >= end {
                 return Err(StoreError::Truncated(what));
             }
-            let body = self.read_record(offset, what)?;
+            self.read_frame(offset, &mut body, what)?;
             f(&body)?;
             offset += 8 + body.len() as u64;
         }
         if offset != end {
-            return Err(StoreError::Corrupt(format!(
-                "{what} section has {} trailing bytes",
-                end - offset
-            )));
+            return Err(StoreError::Corrupt(if offset < end {
+                format!("{what} section has {} trailing bytes", end - offset)
+            } else {
+                format!("{what} records overrun their section by {} bytes", offset - end)
+            }));
         }
         Ok(())
     }
@@ -900,14 +925,23 @@ fn read_exact_at<R: Read + Seek>(
 ) -> Result<Vec<u8>, StoreError> {
     handle.seek(SeekFrom::Start(offset))?;
     let mut buf = vec![0u8; len];
-    handle.read_exact(&mut buf).map_err(|e| {
+    read_exact_into(handle, &mut buf, what)?;
+    Ok(buf)
+}
+
+/// `read_exact` with a short read typed as [`StoreError::Truncated`].
+fn read_exact_into<R: Read>(
+    handle: &mut R,
+    buf: &mut [u8],
+    what: &'static str,
+) -> Result<(), StoreError> {
+    handle.read_exact(buf).map_err(|e| {
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
             StoreError::Truncated(what)
         } else {
             StoreError::Io(e)
         }
-    })?;
-    Ok(buf)
+    })
 }
 
 #[cfg(test)]

@@ -27,9 +27,11 @@
 //! evaluations (chunk-granular) until the warm best first matched the
 //! cold restart's final best. The engine is deterministic at one
 //! thread, so this metric is bit-stable across hosts — the CI chaos
-//! stage asserts on it instead of wall-clock (which is still reported
-//! as `recovery_ms` percentiles, the event's wall time with the cold
-//! run overlapped; see [`pa_cga_stats::recovery`]).
+//! stage asserts on it instead of wall-clock, which is still reported:
+//! `recovery_ms` is the warm path's wall time (event applied to last
+//! warm chunk done, excluding the wait for the cold thread) and feeds
+//! the close summary's percentiles (see [`pa_cga_stats::recovery`]);
+//! `cold_ms` is the cold thread's own run time.
 //!
 //! **Durability.** A session opened with a `session` name persists
 //! under `<data-dir>/sessions/<name>/`:
@@ -401,12 +403,19 @@ impl StreamSession {
         // reads only `sub` and its own seed, so it evolves on a second
         // thread while this one repairs and resumes the warm population.
         // A panic on the cold thread is re-raised here, just as a panic
-        // in an inline cold run would have propagated.
-        let (cold_outcome, warm) = std::thread::scope(|scope| {
-            let cold = scope.spawn(|| PaCga::new(&sub, cold_cfg).run());
+        // in an inline cold run would have propagated. `recovery_ms` is
+        // taken before the join, so it never includes a longer cold run.
+        let (cold_outcome, cold_ms, warm, recovery_ms) = std::thread::scope(|scope| {
+            let cold = scope.spawn(|| {
+                let t = Instant::now();
+                let outcome = PaCga::new(&sub, cold_cfg).run();
+                (outcome, t.elapsed().as_secs_f64() * 1e3)
+            });
             let warm = self.warm_run(&sub, remap, event_seed);
-            let cold = cold.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            (cold, warm)
+            let recovery_ms = started.elapsed().as_secs_f64() * 1e3;
+            let (cold, cold_ms) =
+                cold.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (cold, cold_ms, warm, recovery_ms)
         });
         let cold_makespan = cold_outcome.best.makespan();
         let WarmRun { pop, repair_makespan, chunks, generations } = warm;
@@ -432,7 +441,7 @@ impl StreamSession {
         self.events += 1;
 
         let sample = RecoverySample {
-            recovery_ms: started.elapsed().as_secs_f64() * 1e3,
+            recovery_ms,
             recovery_evals,
             budget_evals: self.budget,
             warm_makespan: warm_best,
@@ -469,7 +478,8 @@ impl StreamSession {
             makespan_before,
             repair_makespan,
             makespan: warm_best,
-            recovery_ms: sample.recovery_ms,
+            recovery_ms,
+            cold_ms,
             recovery_evals,
             budget_evals: self.budget,
             cold_makespan,
@@ -685,11 +695,16 @@ mod tests {
     #[test]
     fn machine_down_reschedules_and_advances_seq() {
         let (mut s, opened) = open_toy();
+        let t = Instant::now();
         let r = s
             .handle_event(decode_event(
                 r#"{"type":"stream.event","seq":0,"event":{"kind":"machine.down","machine":1}}"#,
             ))
             .expect("event applies");
+        let wall_ms = t.elapsed().as_secs_f64() * 1e3;
+        // Both timings are parts of the call, measured separately.
+        assert!(r.recovery_ms > 0.0 && r.recovery_ms <= wall_ms, "{} of {wall_ms}", r.recovery_ms);
+        assert!(r.cold_ms > 0.0 && r.cold_ms <= wall_ms, "{} of {wall_ms}", r.cold_ms);
         assert_eq!(r.seq, 0);
         assert_eq!(r.alive, 3);
         assert_eq!(r.down, vec![1]);

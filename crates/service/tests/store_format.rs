@@ -7,7 +7,9 @@
 //! offsets (§7.1–§7.3) are additionally covered by the unit tests in
 //! `pa_cga_service::store` and `etc_model::binary`.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Cursor;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use etc_model::EtcInstance;
 use pa_cga_core::checkpoint::Crc32;
@@ -17,6 +19,36 @@ use pa_cga_service::store::{
     SECTION_INSTANCE_INDEX, TRAILER_LEN, VERSION,
 };
 use pa_cga_service::CachedRun;
+
+/// The system allocator, recording the largest single request so a test
+/// can prove a corrupt length field never drives an allocation. The
+/// maximum is binary-wide; no test here allocates anywhere near 1 GiB.
+struct LargestRequest;
+
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// the caller's `GlobalAlloc` obligations are exactly `System`'s.
+unsafe impl GlobalAlloc for LargestRequest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // ord: a monotone maximum read after the fact; no data is published.
+        LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // ord: as in `alloc`.
+        LARGEST.fetch_max(new_size, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: LargestRequest = LargestRequest;
 
 // --- little helpers (tests may index directly; damage here just fails) ---
 
@@ -60,6 +92,32 @@ fn sample() -> Vec<u8> {
 
 fn open(bytes: Vec<u8>) -> Result<StoreReader<Cursor<Vec<u8>>>, StoreError> {
     StoreReader::open(Cursor::new(bytes))
+}
+
+/// A store with three instance and three best records, so a scan has
+/// records before and after the one a test damages.
+fn three_of_each() -> Vec<u8> {
+    let mut b = StoreBuilder::new();
+    for n in 3..6 {
+        b.add_instance(&EtcInstance::toy(n, 2)).unwrap();
+    }
+    for tag in 0..3 {
+        b.add_best(0xB000 + tag, &best(tag, 4, 2)).unwrap();
+    }
+    b.encode()
+}
+
+/// Absolute file offsets of every record frame in section `kind`.
+fn record_offsets(bytes: &[u8], kind: u32) -> Vec<usize> {
+    let (off, _) = find_section(bytes, kind);
+    let mut at = off as usize + 8;
+    (0..u64_le(bytes, off as usize))
+        .map(|_| {
+            let frame = at;
+            at += 8 + u32_le(bytes, at) as usize;
+            frame
+        })
+        .collect()
 }
 
 /// Parsed section-table entry straight off the bytes.
@@ -467,4 +525,80 @@ fn garbage_is_rejected_not_panicked() {
     bytes[..8].copy_from_slice(&MAGIC);
     bytes[8..10].copy_from_slice(&VERSION.to_le_bytes());
     assert!(open(bytes).is_err());
+}
+
+// --- sequential scans ---
+
+#[test]
+fn flipped_byte_in_a_third_record_fails_its_scan() {
+    for (kind, what) in [(SECTION_BESTS, "best record"), (SECTION_INSTANCES, "instance record")] {
+        let mut bytes = three_of_each();
+        let third = record_offsets(&bytes, kind)[2];
+        bytes[third + 8 + 2] ^= 0x01;
+        let mut r = open(bytes).expect("structure is intact");
+        let err = if kind == SECTION_BESTS {
+            r.bests().map(|_| ()).unwrap_err()
+        } else {
+            r.instances().map(|_| ()).unwrap_err()
+        };
+        match err {
+            StoreError::Crc { what: got, .. } => assert_eq!(got, what),
+            other => panic!("expected a {what} CRC error, got {other}"),
+        }
+        // The other section's scan is untouched by the damage.
+        if kind == SECTION_BESTS {
+            assert_eq!(r.instances().expect("instances intact").len(), 3);
+        } else {
+            assert_eq!(r.bests().expect("bests intact").len(), 3);
+        }
+    }
+}
+
+#[test]
+fn max_length_frame_is_corrupt_without_allocating() {
+    let mut bytes = three_of_each();
+    let first = record_offsets(&bytes, SECTION_BESTS)[0];
+    bytes[first..first + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    reseal(&mut bytes);
+    let file_len = bytes.len();
+    let mut r = open(bytes).expect("header, table and trailer are sealed");
+    assert!(matches!(r.bests(), Err(StoreError::Corrupt(_))));
+    assert!(matches!(r.get_best(0xB000), Err(StoreError::Corrupt(_))));
+    let largest = LARGEST.load(Ordering::Relaxed); // ord: see `LargestRequest`.
+    assert!(largest < 1 << 30, "a {largest}-byte allocation for a {file_len}-byte file");
+}
+
+#[test]
+fn record_overrunning_its_section_is_corrupt() {
+    // Grow the checkpoint record (and its payload length) by 8 bytes
+    // into whatever follows its section, with a matching CRC: the frame
+    // and the body both check out, but the records end past the section.
+    let mut bytes = sample();
+    let at = record_offsets(&bytes, SECTION_CHECKPOINTS)[0];
+    let len = u32_le(&bytes, at) as usize + 8;
+    bytes[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    let payload_len_at = at + 8 + 2 + u16_le(&bytes, at + 8) as usize;
+    let payload_len = u32_le(&bytes, payload_len_at) + 8;
+    bytes[payload_len_at..payload_len_at + 4].copy_from_slice(&payload_len.to_le_bytes());
+    let crc = Crc32::of(&bytes[at + 8..at + 8 + len]);
+    bytes[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
+    let mut r = open(bytes).expect("header, table and trailer are intact");
+    match r.checkpoints() {
+        Err(StoreError::Corrupt(m)) => assert!(m.contains("overrun"), "{m}"),
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+}
+
+#[test]
+fn scan_after_a_point_lookup_sees_every_record() {
+    let mut r = open(three_of_each()).unwrap();
+    // Leave the handle inside the best section, past its first record.
+    assert_eq!(r.get_best(0xB002).unwrap().expect("present").makespan, 252.0);
+    let digests: Vec<u64> = r.bests().unwrap().into_iter().map(|(d, _)| d).collect();
+    assert_eq!(digests.len(), 3);
+    for tag in 0..3 {
+        assert!(digests.contains(&(0xB000 + tag)), "{:#x} missing: {digests:x?}", 0xB000 + tag);
+    }
+    assert!(r.get_instance("toy_4x2").unwrap().is_some());
+    assert_eq!(r.instances().unwrap().len(), 3);
 }

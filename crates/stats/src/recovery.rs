@@ -14,8 +14,9 @@
 //! final best. The engine is deterministic at `threads = 1`, so this
 //! quantity is exactly reproducible across runs and hosts — the CI
 //! assertion that warm-start beats cold restart never flakes on machine
-//! speed. Wall-clock (`recovery_ms`) is still recorded and reported
-//! (p50/p99) because it is what an operator experiences.
+//! speed. Wall-clock (`recovery_ms`, the warm path's wall time) is still
+//! recorded and reported (p50/p99) because it is what an operator
+//! experiences.
 
 use crate::latency::LatencySummary;
 use serde::{Deserialize, Serialize};
@@ -23,7 +24,8 @@ use serde::{Deserialize, Serialize};
 /// What one reschedule event measured.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RecoverySample {
-    /// Wall-clock from event receipt to the warm response, in ms.
+    /// Warm-path wall time, in ms: from the event being applied to the
+    /// last warm chunk finishing (an overlapped cold run excluded).
     pub recovery_ms: f64,
     /// Post-repair evaluations until the warm best first reached the
     /// cold restart's final best (`budget_evals` if it never did).

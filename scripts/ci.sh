@@ -3,7 +3,8 @@
 #
 #   scripts/ci.sh                    # all stages
 #   scripts/ci.sh --fast             # inner-loop gate: stages 0-3 only
-#                                    # (2c miri and 2d repeat skipped)
+#                                    # (2c miri, 2d repeat and 2e
+#                                    # perfbench skipped)
 #   scripts/ci.sh --self-test-audit  # prove the audit gate can fail:
 #                                    # seed a violation, expect exit != 0
 #
@@ -14,7 +15,7 @@
 #   1 build  cargo build --release (every crate, every target — benches
 #            and experiment binaries must at least compile)
 #   1b audit pacga-audit, the in-tree invariant analyzer (DESIGN.md §11):
-#            rules A1-A6 over crates/ and src/, hard fail on any
+#            rules A1-A6 over crates/, src/ and tests/, hard fail on any
 #            violation; the stage first self-tests by seeding A2 and A6
 #            violations into a temp tree and requiring a non-zero exit
 #   1c clippy cargo clippy --workspace --all-targets -- -D warnings
@@ -32,6 +33,10 @@
 #            with --test-threads=1 and twice with the default; any run
 #            that disagrees with the others (pass/fail or per-binary
 #            test counts) fails the stage (skipped under --fast)
+#   2e perfbench the benchmark package's own tests (perfbench/, a
+#            separate Cargo package on the workspace crates), so a crate
+#            API change that breaks the benchmark fails here (skipped
+#            under --fast)
 #   3 doc    cargo doc --no-deps with warnings denied (doc rot fails fast)
 #   4 bench  bench smoke (every criterion bench body runs once) plus the
 #            perf-regression gate: scripts/bench_check.sh --self-test,
@@ -76,17 +81,19 @@ done
 audit_self_test() {
   local tmp out want
   tmp="$(mktemp -d)"
-  mkdir -p "$tmp/crates/service/src" "$tmp/crates/bench/tests"
+  mkdir -p "$tmp/crates/service/src" "$tmp/crates/bench/tests" "$tmp/tests"
   printf 'pub fn f(v: &[u8]) -> u8 { v[0] }\n' >"$tmp/crates/service/src/seeded.rs"
   printf '#[test]\nfn t() {\n    std::env::set_var("K", "v");\n}\n' \
     >"$tmp/crates/bench/tests/seeded.rs"
+  cp "$tmp/crates/bench/tests/seeded.rs" "$tmp/tests/seeded.rs"
   if out="$(target/release/pacga-audit --root "$tmp" 2>&1)"; then
     echo "audit self-test: seeded violations were NOT detected" >&2
     echo "$out" >&2
     rm -rf "$tmp"
     return 1
   fi
-  for want in "crates/service/src/seeded.rs:1 A2" "crates/bench/tests/seeded.rs:3 A6"; do
+  for want in "crates/service/src/seeded.rs:1 A2" "crates/bench/tests/seeded.rs:3 A6" \
+    "tests/seeded.rs:3 A6"; do
     grep -q "$want" <<<"$out" || {
       echo "audit self-test: expected \"$want\" in the report:" >&2
       echo "$out" >&2
@@ -242,6 +249,14 @@ else
   fi
   grep -qx "exit 0" <<<"$REPEAT_A" || { echo "cargo test failed in every repeat" >&2; false; }
   echo "3 runs agree: $(grep -c '^ok' <<<"$REPEAT_A") test binaries, all green"
+  finish
+fi
+
+if [[ "$FAST" == 1 ]]; then
+  skip "2e:perfbench" "--fast"
+else
+  begin "2e:perfbench" "benchmark package tests (perfbench/, --release)"
+  cargo test --release --offline --manifest-path perfbench/Cargo.toml
   finish
 fi
 

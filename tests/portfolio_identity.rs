@@ -1,11 +1,8 @@
 //! The portfolio runner must never change *results*, only wall-clock:
 //! under a deterministic stop condition (generation budget), Table 2
 //! computed sequentially (1 worker) is byte-identical to Table 2
-//! computed on a parallel pool.
-//!
-//! This file holds exactly one test because it flips the process-global
-//! `PA_CGA_WORKERS` variable; integration-test binaries run as separate
-//! processes, so no other suite observes the mutation.
+//! computed on a parallel pool. The worker count is injected, so the
+//! test never touches the process environment.
 
 use pa_cga_bench::experiments::table2;
 use pa_cga_bench::Budget;
@@ -14,11 +11,8 @@ use pa_cga_bench::Budget;
 fn table2_rows_identical_sequential_vs_parallel() {
     let budget = Budget { time_ms: 1, runs: 2, max_threads: 2, gens: Some(1) };
 
-    std::env::set_var("PA_CGA_WORKERS", "1");
-    let sequential = table2::compute_rows(&budget);
-    std::env::set_var("PA_CGA_WORKERS", "4");
-    let parallel = table2::compute_rows(&budget);
-    std::env::remove_var("PA_CGA_WORKERS");
+    let sequential = table2::compute_rows_on(&budget, Some(1));
+    let parallel = table2::compute_rows_on(&budget, Some(4));
 
     assert_eq!(sequential.len(), parallel.len());
     for (s, p) in sequential.iter().zip(&parallel) {
