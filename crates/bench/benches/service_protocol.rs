@@ -38,6 +38,22 @@ fn bench_decode(c: &mut Criterion) {
     group.bench_function("decode_inline_64x8", |b| {
         b.iter(|| black_box(Request::decode(black_box(&inline_line)).unwrap()))
     });
+
+    // The serve-mix shape: a 512×16 matrix of one-decimal cells (~60 KB).
+    let wide_line = {
+        let rows: Vec<String> = (0..512u64)
+            .map(|t| {
+                let cells: Vec<String> = (0..16u64)
+                    .map(|m| format!("{:.1}", ((t * 16 + m) * 7919 % 50_000 + 1) as f64 / 10.0))
+                    .collect();
+                format!("[{}]", cells.join(","))
+            })
+            .collect();
+        format!(r#"{{"type":"schedule","etc":[{}],"evals":100}}"#, rows.join(","))
+    };
+    group.bench_function("decode_inline_512x16", |b| {
+        b.iter(|| black_box(Request::decode(black_box(&wide_line)).unwrap()))
+    });
     group.finish();
 }
 

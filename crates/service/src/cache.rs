@@ -54,22 +54,27 @@ impl ScheduleCache {
     /// Looks up a digest, counting a hit or miss and refreshing LRU
     /// recency on hit.
     pub fn get(&mut self, digest: u64) -> Option<CachedRun> {
-        self.tick += 1;
-        match self.map.get_mut(&digest) {
-            Some(slot) => {
-                slot.last_used = self.tick;
-                self.hits += 1;
-                Some(slot.value.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        let hit = self.hit(digest);
+        if hit.is_none() {
+            self.misses += 1;
         }
+        hit
     }
 
-    /// Peeks without touching recency or hit/miss counters (used by the
-    /// batch planner to decide which requests need a run).
+    /// Hit-only lookup: on a hit, counts it and refreshes LRU recency
+    /// exactly like [`ScheduleCache::get`]; on a miss, counts nothing. A
+    /// caller that will hand the miss to a later `get` (the daemon's
+    /// connection threads, ahead of the batch scheduler) keeps every
+    /// request counted exactly once.
+    pub fn hit(&mut self, digest: u64) -> Option<CachedRun> {
+        let slot = self.map.get_mut(&digest)?;
+        self.tick += 1;
+        slot.last_used = self.tick;
+        self.hits += 1;
+        Some(slot.value.clone())
+    }
+
+    /// Peeks without touching recency or hit/miss counters.
     pub fn contains(&self, digest: u64) -> bool {
         self.map.contains_key(&digest)
     }
@@ -179,6 +184,20 @@ mod tests {
         assert!(c.is_empty());
         assert_eq!(c.get(1), None);
         assert_eq!(c.misses(), 1);
+    }
+
+    #[test]
+    fn hit_counts_hits_only_and_refreshes_recency() {
+        let mut c = ScheduleCache::new(2);
+        assert_eq!(c.hit(1), None);
+        assert_eq!((c.hits(), c.misses()), (0, 0), "a hit-only miss counts nothing");
+        c.insert(1, run(1));
+        c.insert(2, run(2));
+        assert_eq!(c.hit(1).unwrap().makespan, 1.0);
+        assert_eq!((c.hits(), c.misses()), (1, 0));
+        c.insert(3, run(3));
+        assert!(c.contains(1), "the hit refreshed 1, so 2 was the LRU");
+        assert!(!c.contains(2));
     }
 
     #[test]

@@ -6,6 +6,19 @@
 //! needs. Numbers are `f64` (like JavaScript); objects preserve key
 //! order; the writer emits compact one-line output so every encoded
 //! value is a valid JSON-lines frame.
+//!
+//! Numbers follow the RFC 8259 §6 grammar exactly:
+//! `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`. So `01`,
+//! `1.`, `-.5` and `1.e3` are `bad number` errors (at the token's first
+//! byte) even though Rust's `f64::from_str` would take them, and a token
+//! that overflows `f64` (`1e309`) is a `non-finite number` error. The
+//! scanner checks that grammar in the same pass that accumulates the
+//! decimal mantissa `m` and exponent `e`. When `m` has at most 15
+//! significant digits and `|e| ≤ 22`, both `m` and `10^|e|` are exact
+//! `f64`s, so `m × 10^e` (or `m ÷ 10^-e`) rounds once and yields exactly
+//! the bits of a correctly rounding parser (Clinger's fast path). Every
+//! other token falls back to `str::parse`. The wire's matrices (short
+//! decimals) almost always take the fast path.
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,7 +57,7 @@ impl std::error::Error for JsonError {}
 impl Json {
     /// Parses a complete JSON document; trailing garbage is an error.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0, stack: Vec::new() };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -198,6 +211,8 @@ struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
+    /// Elements of the arrays being parsed, innermost last.
+    stack: Vec<Json>,
 }
 
 impl<'a> Parser<'a> {
@@ -258,23 +273,29 @@ impl<'a> Parser<'a> {
     fn array(&mut self) -> Result<Json, JsonError> {
         self.enter()?;
         self.expect_byte(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
             self.depth -= 1;
-            return Ok(Json::Arr(items));
+            return Ok(Json::Arr(Vec::new()));
         }
+        // Elements collect on the shared stack above `base` (nested
+        // arrays stack above them and pop back off), so each array
+        // allocates once, at its exact length.
+        let base = self.stack.len();
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            let item = self.value()?;
+            self.stack.push(item);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
                     self.depth -= 1;
-                    return Ok(Json::Arr(items));
+                    // `base <= len`: every nested array popped back to
+                    // its own base, which is at or above ours.
+                    return Ok(Json::Arr(self.stack.split_off(base)));
                 }
                 _ => return Err(self.err("expected ',' or ']' in array")),
             }
@@ -380,36 +401,158 @@ impl<'a> Parser<'a> {
         let Some(bytes) = self.bytes.get(self.pos..self.pos + 4) else {
             return Err(self.err("truncated \\u escape"));
         };
-        let text = std::str::from_utf8(bytes).map_err(|_| self.err("non-hex \\u escape"))?;
-        let value = u32::from_str_radix(text, 16).map_err(|_| self.err("non-hex \\u escape"))?;
+        // Exactly four ASCII hex digits: `u32::from_str_radix` would also
+        // take a leading `+`.
+        let value = bytes
+            .iter()
+            .try_fold(0u32, |acc, &b| Some(acc * 16 + char::from(b).to_digit(16)?))
+            .ok_or_else(|| self.err("non-hex \\u escape"))?;
         self.pos += 4;
         Ok(value)
     }
 
+    /// Consumes the ASCII digits at the cursor, folding each into `mantissa`,
+    /// and returns how many there were.
+    fn digits(&mut self, mantissa: &mut Digits) -> usize {
+        let start = self.pos;
+        while let Some(d @ b'0'..=b'9') = self.peek() {
+            mantissa.push(d - b'0');
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// One pass over an RFC 8259 §6 number: the grammar is checked while
+    /// the decimal mantissa and exponent accumulate, and short tokens take
+    /// Clinger's exact fast path (see the module doc).
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || c == b'.' || c == b'e' || c == b'E' || c == b'+' || c == b'-')
-        {
+        let mut mantissa = Digits::default();
+        // Integer part: a lone `0`, or a digit run that does not start
+        // with `0`.
+        let int_ok = match self.peek() {
+            Some(b'0') => {
+                self.pos += 1;
+                true
+            }
+            _ => self.digits(&mut mantissa) > 0,
+        };
+        let mut exponent = 0i64;
+        let mut ok = int_ok;
+        if ok && self.peek() == Some(b'.') {
             self.pos += 1;
+            let fraction = self.digits(&mut mantissa);
+            exponent -= fraction as i64;
+            ok = fraction > 0;
         }
-        let bytes = self.bytes.get(start..self.pos).unwrap_or_default();
-        // The scanned run is ASCII sign/digit/exponent bytes, so UTF-8
-        // decoding cannot fail; an empty fallback parses to a bad-number
-        // error rather than a panic.
-        let text = std::str::from_utf8(bytes).unwrap_or_default();
-        let n: f64 = text
-            .parse()
-            .map_err(|_| JsonError { message: format!("bad number {text:?}"), offset: start })?;
+        if ok && matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            let minus = self.peek() == Some(b'-');
+            if minus || self.peek() == Some(b'+') {
+                self.pos += 1;
+            }
+            let mut explicit = 0i64;
+            let mut count = 0usize;
+            while let Some(d @ b'0'..=b'9') = self.peek() {
+                // Saturating: a huge exponent stays huge, so it can never
+                // land back in the fast path's range.
+                explicit = explicit.saturating_mul(10).saturating_add(i64::from(d - b'0'));
+                count += 1;
+                self.pos += 1;
+            }
+            exponent = if minus {
+                exponent.saturating_sub(explicit)
+            } else {
+                exponent.saturating_add(explicit)
+            };
+            ok = count > 0;
+        }
+        // A valid token ends where the grammar does; any number byte right
+        // after it (`01`, `1.2.3`, `1-2`) makes the whole run malformed.
+        if !ok || self.peek().is_some_and(is_number_byte) {
+            return Err(self.number_error("bad number", start));
+        }
+        let n = match mantissa.exact(exponent) {
+            Some(magnitude) if negative => -magnitude,
+            Some(magnitude) => magnitude,
+            None => {
+                self.token(start).parse().map_err(|_| self.number_error("bad number", start))?
+            }
+        };
         if !n.is_finite() {
-            return Err(JsonError {
-                message: format!("non-finite number {text:?}"),
-                offset: start,
-            });
+            return Err(self.number_error("non-finite number", start));
         }
         Ok(Json::Num(n))
+    }
+
+    /// The run of number bytes starting at `start`: the token a number
+    /// error names, and what the fallback parser reads.
+    fn token(&self, start: usize) -> &str {
+        let run = self.bytes.get(start..).unwrap_or_default();
+        let len = run.iter().take_while(|&&c| is_number_byte(c)).count();
+        // The run is ASCII sign/digit/exponent bytes, so UTF-8 decoding
+        // cannot fail; an empty fallback still reports a bad number.
+        std::str::from_utf8(run.get(..len).unwrap_or_default()).unwrap_or_default()
+    }
+
+    fn number_error(&self, what: &str, start: usize) -> JsonError {
+        JsonError { message: format!("{what} {:?}", self.token(start)), offset: start }
+    }
+}
+
+/// Bytes that can continue a number token: what the scanner claims as one
+/// token before checking it against the grammar.
+fn is_number_byte(c: u8) -> bool {
+    c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-')
+}
+
+/// Most significant digits a mantissa may have on the fast path: every
+/// 15-digit integer is below 2^53, so it converts to `f64` exactly.
+const FAST_DIGITS: u32 = 15;
+
+/// `10^0 ..= 10^22`: the powers of ten an `f64` holds exactly.
+const POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// A number's decimal mantissa as it is scanned, capped at what the fast
+/// path can use.
+#[derive(Default)]
+struct Digits {
+    /// The significant digits seen so far, while there are at most
+    /// [`FAST_DIGITS`] of them.
+    value: u64,
+    /// Significant digits seen (leading zeros are not significant).
+    significant: u32,
+}
+
+impl Digits {
+    fn push(&mut self, digit: u8) {
+        if self.significant == 0 && digit == 0 {
+            return;
+        }
+        self.significant = self.significant.saturating_add(1);
+        if self.significant <= FAST_DIGITS {
+            self.value = self.value * 10 + u64::from(digit);
+        }
+    }
+
+    /// `value × 10^exponent`, when both factors are exact `f64`s: one
+    /// IEEE multiply or divide then rounds exactly once, to the same bits
+    /// a correctly rounding parser yields (Clinger 1990). `None` sends
+    /// the token to `str::parse`.
+    fn exact(&self, exponent: i64) -> Option<f64> {
+        if self.significant > FAST_DIGITS {
+            return None;
+        }
+        let mantissa = self.value as f64;
+        let scale = POW10.get(usize::try_from(exponent.unsigned_abs()).ok()?)?;
+        Some(if exponent < 0 { mantissa / scale } else { mantissa * scale })
     }
 }
 
@@ -495,10 +638,132 @@ mod tests {
             "nul",
             "\"bad \\q escape\"",
             "--1",
+            r#""\u+041""#,
+            "01",
+            "-01",
+            "00",
+            "1.",
+            "-.5",
+            "1.e3",
         ] {
             let err = Json::parse(bad).unwrap_err();
             assert!(err.to_string().contains("at byte"), "{bad:?}: {err}");
         }
+    }
+
+    #[test]
+    fn number_grammar_violations_name_the_token_at_its_offset() {
+        for (text, token) in [
+            ("[1,01]", "01"),
+            ("[1,-01]", "-01"),
+            ("[1,00]", "00"),
+            ("[1,1.]", "1."),
+            ("[1,-.5]", "-.5"),
+            ("[1,1.e3]", "1.e3"),
+            ("[1,1e]", "1e"),
+            ("[1,1e+]", "1e+"),
+            ("[1,1.2.3]", "1.2.3"),
+            ("[1,1-2]", "1-2"),
+            ("[1,-]", "-"),
+        ] {
+            let err = Json::parse(text).unwrap_err();
+            assert_eq!(err.message, format!("bad number {token:?}"), "{text}");
+            assert_eq!(err.offset, 3, "{text}");
+        }
+        let err = Json::parse("1e309").unwrap_err();
+        assert_eq!(err.message, "non-finite number \"1e309\"");
+        assert_eq!(err.offset, 0);
+        let zero = parse("-0").as_f64().unwrap();
+        assert!(zero == 0.0 && zero.is_sign_negative(), "-0 keeps its sign");
+    }
+
+    #[test]
+    fn hex_escapes_need_four_hex_digits() {
+        assert_eq!(parse(r#""\u0041\u00e9""#).as_str(), Some("Aé"));
+        assert_eq!(parse(r#""\u00E9""#).as_str(), Some("é"));
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u004g""#] {
+            let err = Json::parse(bad).unwrap_err();
+            assert_eq!(err.message, "non-hex \\u escape", "{bad}");
+        }
+    }
+
+    /// The scanner's value for an accepted token, bit for bit.
+    fn scanned_bits(token: &str) -> u64 {
+        match Json::parse(token) {
+            Ok(Json::Num(n)) => n.to_bits(),
+            other => panic!("{token:?} should parse as a number, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn scanner_matches_str_parse_on_edge_tokens() {
+        for token in [
+            "0",
+            "-0",
+            "-0.0",
+            "0.1",
+            "0.001",
+            "1e22",
+            "1e23",
+            "1E+22",
+            "1.5e-22",
+            "1e-23",
+            "0e400",
+            "123456789012345.6",
+            "9007199254740993",
+            "9007199254740992",
+            "123456789012345",
+            "-999999999999999",
+            "1234567890123456",
+            "-9999999999999999",
+            "0.000000000000000000000000001",
+            "4.9e-324",
+            "1.7976931348623157e308",
+            "2.2250738585072014e-308",
+            "12.5e-99999999999999999999999",
+            "0e99999999999999999999999",
+        ] {
+            let want: f64 = token.parse().unwrap();
+            assert_eq!(scanned_bits(token), want.to_bits(), "{token}");
+        }
+    }
+
+    #[test]
+    fn scanner_matches_str_parse_on_random_tokens() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x4A53_4F4E);
+        let (mut fast, mut total) = (0u64, 0u64);
+        for _ in 0..120_000 {
+            let digits = rng.gen_range(1..=18usize);
+            let mut token = String::new();
+            if rng.gen_bool(0.5) {
+                token.push('-');
+            }
+            let split = if rng.gen_bool(0.6) { rng.gen_range(1..=digits) } else { digits };
+            for k in 0..digits {
+                if k == split {
+                    token.push('.');
+                }
+                // No leading zero on a multi-digit integer part.
+                let lowest = u32::from(k == 0 && split > 1);
+                token.push(char::from_digit(rng.gen_range(lowest..10u32), 10).unwrap());
+            }
+            if rng.gen_bool(0.5) {
+                token.push(if rng.gen_bool(0.5) { 'e' } else { 'E' });
+                match rng.gen_range(0..3u32) {
+                    0 => token.push('-'),
+                    1 => token.push('+'),
+                    _ => {}
+                }
+                token.push_str(&rng.gen_range(0..=40u32).to_string());
+            }
+            let want: f64 = token.parse().unwrap();
+            assert_eq!(scanned_bits(&token), want.to_bits(), "{token}");
+            total += 1;
+            fast += u64::from(digits <= 15);
+        }
+        assert!(fast > total / 2, "most tokens fit the fast path's digit bound: {fast}/{total}");
     }
 
     #[test]

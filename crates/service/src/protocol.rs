@@ -956,7 +956,8 @@ pub struct JobStatusBody {
 pub struct StatsSnapshot {
     /// Seconds since the listener came up.
     pub uptime_s: f64,
-    /// Schedule requests accepted into the queue.
+    /// Schedule requests accepted: misses admitted into the queue plus
+    /// cache hits answered on a connection's handler thread.
     pub received: u64,
     /// Schedule requests answered with a `result`.
     pub completed: u64,
@@ -977,9 +978,10 @@ pub struct StatsSnapshot {
     pub cache_persisted: u64,
     /// In-batch duplicate requests served by one run.
     pub coalesced: u64,
-    /// Batches executed.
+    /// Batches executed. Only queued misses form batches; a hit answered
+    /// on its handler thread is in no batch.
     pub batches: u64,
-    /// Largest batch coalesced so far.
+    /// Largest batch coalesced so far (queued misses only).
     pub max_batch: u64,
     /// Total engine evaluations spent.
     pub evaluations: u64,
@@ -1359,6 +1361,21 @@ mod tests {
             r#"{"type":"schedule","etc":[[1,2],[3,4]],"evals":100,"id":"x","assignment":true}"#,
         );
         assert_eq!(d0, same.digest(&same.resolve_instance().unwrap()));
+    }
+
+    #[test]
+    fn digest_bytes_are_pinned() {
+        // `.pacst` best records are keyed by these digests: if either
+        // value moves, every persisted best is orphaned on the next warm
+        // boot.
+        let inline = schedule(
+            r#"{"type":"schedule","name":"pin","etc":[[1.5,2,3.25],[4,0.1,6e2],[7,8,9.75],[0.3,12,1e-3]],"ready":[0,1.5,0.2],"evals":1000,"seed":11,"threads":2,"ls":3,"crossover":"ux"}"#,
+        );
+        let braun = schedule(r#"{"type":"schedule","braun":"u_i_hilo.0","gens":50,"seed":3}"#);
+        for (request, want) in [(inline, 0xc426_adac_6a01_da31), (braun, 0x09cd_50c9_aea7_1f5a)] {
+            let got = request.digest(&request.resolve_instance().unwrap());
+            assert_eq!(got, want, "{:?}: digest {got:#018x}", request.source);
+        }
     }
 
     #[test]

@@ -6,20 +6,27 @@
 //! ```text
 //! acceptor ──spawns──▶ one handler thread per connection
 //!                          │  parse line → control requests answered
-//!                          │  inline; schedule requests try_enqueue
+//!                          │  inline; a schedule request is resolved,
+//!                          │  checked and digested here, then a
+//!                          │  hit-only cache lookup: a hit is answered
+//!                          │  on this thread; a miss is try_enqueue'd
 //!                          ▼
 //!                bounded queue (Mutex<VecDeque> + Condvar)
 //!                          │          full → "busy" backpressure
 //!                          ▼
 //!                scheduler thread: drains up to `batch_max` queued
-//!                requests into ONE portfolio submission
-//!                          │  cache hits answered without running;
+//!                misses into ONE portfolio submission
+//!                          │  counting cache lookup (a run that finished
+//!                          │  since the handler looked is now a hit);
 //!                          │  in-batch duplicates coalesced onto one run
 //!                          ▼
 //!            pa_cga_core::runner::Portfolio (weights = engine threads,
 //!            capacity = --workers ⇒ concurrent requests never
 //!            oversubscribe the host)
 //! ```
+//!
+//! A hit never waits for the scheduler thread, which blocks in
+//! `Portfolio::execute` for as long as a batch's engine runs take.
 //!
 //! Shutdown: a `shutdown` request (or [`ServerHandle::shutdown`]) stops
 //! the acceptor, the scheduler drains everything already queued, every
@@ -31,6 +38,7 @@ use crate::jobs::JobManager;
 use crate::protocol::{Request, Response, ScheduleRequest, StatsSnapshot, StreamOpenRequest};
 use crate::store::{StoreBuilder, StoreReader};
 use crate::stream::StreamSession;
+use etc_model::EtcInstance;
 use pa_cga_core::config::PaCgaConfig;
 use pa_cga_core::engine::PaCga;
 use pa_cga_core::runner::{resolve_workers, Portfolio, RunSpec};
@@ -92,9 +100,12 @@ impl Default for ServeConfig {
     }
 }
 
-/// One queued schedule request plus the channel its handler waits on.
+/// One queued schedule miss, resolved and digested by its handler, plus
+/// the channel that handler waits on.
 struct Job {
     request: ScheduleRequest,
+    instance: EtcInstance,
+    digest: u64,
     reply: mpsc::Sender<Response>,
 }
 
@@ -166,7 +177,12 @@ struct Shared {
 }
 
 impl Shared {
-    fn try_enqueue(&self, request: ScheduleRequest) -> Result<mpsc::Receiver<Response>, String> {
+    fn try_enqueue(
+        &self,
+        request: ScheduleRequest,
+        instance: EtcInstance,
+        digest: u64,
+    ) -> Result<mpsc::Receiver<Response>, String> {
         let mut queue = self.queue.lock();
         // ord: Relaxed — checked under the queue mutex; the drain
         // trigger bridges the same mutex before notifying, so the flag
@@ -178,7 +194,7 @@ impl Shared {
             return Err("queue full".into());
         }
         let (tx, rx) = mpsc::channel();
-        queue.push_back(Job { request, reply: tx });
+        queue.push_back(Job { request, instance, digest, reply: tx });
         Metrics::bump(&self.metrics.received);
         drop(queue);
         self.queue_cv.notify_one();
@@ -554,16 +570,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
                 shared.trigger_shutdown();
                 Response::Ok { message: "draining".into() }
             }
-            Ok(Request::Schedule(request)) => match shared.try_enqueue(*request) {
-                Err(reason) => {
-                    Metrics::bump(&shared.metrics.busy);
-                    Response::Busy { reason }
-                }
-                Ok(rx) => rx.recv().unwrap_or_else(|_| {
-                    Metrics::bump(&shared.metrics.errors);
-                    Response::Error { id: None, message: "scheduler unavailable".into() }
-                }),
-            },
+            Ok(Request::Schedule(request)) => handle_schedule(shared, *request),
             Ok(Request::JobStart(request)) => match &shared.jobs {
                 None => job_support_missing(shared),
                 Some(jobs) => match jobs.start(*request) {
@@ -635,6 +642,61 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     if let Some(s) = session.take() {
         release_stream_name(shared, &s);
         s.suspend();
+    }
+}
+
+/// Answers one `schedule` request on its connection's thread: resolve,
+/// the pool check and the digest run here, and so does a cache hit. Only
+/// a miss goes through the queue to the scheduler thread.
+fn handle_schedule(shared: &Arc<Shared>, request: ScheduleRequest) -> Response {
+    // ord: Relaxed — advisory intake gate, same contract as the stream
+    // gate: once the drain has begun, nothing new is answered, hit or
+    // not. A request that slips past a concurrent drain is either a hit
+    // (answered before the connection closes) or meets try_enqueue's
+    // re-check under the queue mutex.
+    if shared.shutdown.load(Ordering::Relaxed) {
+        Metrics::bump(&shared.metrics.busy);
+        return Response::Busy { reason: "draining".into() };
+    }
+    // Bad instances are answered immediately, never queued.
+    let instance = match request.resolve_instance() {
+        Ok(i) => i,
+        Err(message) => {
+            Metrics::bump(&shared.metrics.errors);
+            return Response::Error { id: request.id, message };
+        }
+    };
+    // A request may not ask for more engine threads than the pool has
+    // slots: the weight would clamp but the engine would still spawn
+    // every thread, oversubscribing the host.
+    if request.threads > shared.workers {
+        Metrics::bump(&shared.metrics.errors);
+        return Response::Error {
+            message: format!(
+                "\"threads\" = {} exceeds the server's worker pool ({})",
+                request.threads, shared.workers
+            ),
+            id: request.id,
+        };
+    }
+    let digest = request.digest(&instance);
+    // Hit-only lookup: a miss is counted by the scheduler's own lookup,
+    // so every request is counted exactly once, as a hit or a miss.
+    let hit = shared.cache.lock().hit(digest);
+    if let Some(run) = hit {
+        Metrics::bump(&shared.metrics.received);
+        Metrics::bump(&shared.metrics.completed);
+        return result_response(&request, instance.name(), &run, true, false);
+    }
+    match shared.try_enqueue(request, instance, digest) {
+        Err(reason) => {
+            Metrics::bump(&shared.metrics.busy);
+            Response::Busy { reason }
+        }
+        Ok(rx) => rx.recv().unwrap_or_else(|_| {
+            Metrics::bump(&shared.metrics.errors);
+            Response::Error { id: None, message: "scheduler unavailable".into() }
+        }),
     }
 }
 
@@ -743,63 +805,41 @@ fn scheduler_loop(shared: &Arc<Shared>) {
 
 /// One coalesced unit of engine work: the first job with a given digest
 /// owns the run; identical in-batch requests ride along. Each job keeps
-/// its own resolved instance name — the digest covers the matrix bytes,
-/// not the label, so coalesced requests may have named the same data
+/// its own resolved instance — the digest covers the matrix bytes, not
+/// the label, so coalesced requests may have named the same data
 /// differently and each response must echo its requester's name.
 struct PendingRun {
-    instance: etc_model::EtcInstance,
     config: PaCgaConfig,
-    digest: u64,
-    jobs: Vec<(Job, String)>,
+    owner: Job,
+    riders: Vec<Job>,
 }
 
 fn process_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
     let mut pending: Vec<PendingRun> = Vec::new();
 
     for job in batch {
-        // Resolve: bad instances are answered immediately, not queued.
-        let instance = match job.request.resolve_instance() {
-            Ok(i) => i,
-            Err(message) => {
-                Metrics::bump(&shared.metrics.errors);
-                let _ = job.reply.send(Response::Error { id: job.request.id.clone(), message });
-                continue;
-            }
-        };
-        // A request may not ask for more engine threads than the pool
-        // has slots: the weight would clamp but the engine would still
-        // spawn every thread, oversubscribing the host.
-        if job.request.threads > shared.workers {
-            Metrics::bump(&shared.metrics.errors);
-            let _ = job.reply.send(Response::Error {
-                id: job.request.id.clone(),
-                message: format!(
-                    "\"threads\" = {} exceeds the server's worker pool ({})",
-                    job.request.threads, shared.workers
-                ),
-            });
-            continue;
-        }
-        let digest = job.request.digest(&instance);
-
-        // Cache pass: an identical earlier request already answered this.
-        let hit = shared.cache.lock().get(digest);
+        // Counting lookup: the handler's hit-only lookup missed, but a
+        // run that finished since then may have filled the entry.
+        let hit = shared.cache.lock().get(job.digest);
         if let Some(run) = hit {
             Metrics::bump(&shared.metrics.completed);
-            let _ =
-                job.reply.send(result_response(&job.request, instance.name(), &run, true, false));
+            let _ = job.reply.send(result_response(
+                &job.request,
+                job.instance.name(),
+                &run,
+                true,
+                false,
+            ));
             continue;
         }
 
         // Coalesce: identical request already pending in THIS batch.
-        if let Some(p) = pending.iter_mut().find(|p| p.digest == digest) {
-            let name = instance.name().to_string();
-            p.jobs.push((job, name));
+        if let Some(p) = pending.iter_mut().find(|p| p.owner.digest == job.digest) {
+            p.riders.push(job);
             continue;
         }
         let config = job.request.build_config();
-        let name = instance.name().to_string();
-        pending.push(PendingRun { instance, config, digest, jobs: vec![(job, name)] });
+        pending.push(PendingRun { config, owner: job, riders: Vec::new() });
     }
 
     if pending.is_empty() {
@@ -812,7 +852,7 @@ fn process_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
     // thrashing 16 threads.
     let mut portfolio = Portfolio::new().with_workers(shared.workers);
     for (i, p) in pending.iter().enumerate() {
-        let instance = &p.instance;
+        let instance = &p.owner.instance;
         let config = p.config.clone();
         let weight = p.config.threads;
         portfolio.push(
@@ -824,10 +864,11 @@ fn process_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
     }
     let report = portfolio.execute();
 
-    for (p, result) in pending.into_iter().zip(report.results) {
+    for (p, result) in pending.iter().zip(report.results) {
+        let jobs = std::iter::once(&p.owner).chain(&p.riders);
         match result {
             Err(panic) => {
-                for (job, _) in &p.jobs {
+                for job in jobs {
                     Metrics::bump(&shared.metrics.errors);
                     let _ = job.reply.send(Response::Error {
                         id: job.request.id.clone(),
@@ -836,22 +877,28 @@ fn process_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
                 }
             }
             Ok(outcome) => {
-                let run = cached_run(&p.instance, &outcome);
+                let run = cached_run(&p.owner.instance, &outcome);
                 Metrics::add(&shared.metrics.evaluations, outcome.evaluations);
-                shared.cache.lock().insert(p.digest, run.clone());
-                for (k, (job, name)) in p.jobs.iter().enumerate() {
+                shared.cache.lock().insert(p.owner.digest, run.clone());
+                for (k, job) in jobs.enumerate() {
                     Metrics::bump(&shared.metrics.completed);
                     if k > 0 {
                         Metrics::bump(&shared.metrics.coalesced);
                     }
-                    let _ = job.reply.send(result_response(&job.request, name, &run, false, k > 0));
+                    let _ = job.reply.send(result_response(
+                        &job.request,
+                        job.instance.name(),
+                        &run,
+                        false,
+                        k > 0,
+                    ));
                 }
             }
         }
     }
 }
 
-fn cached_run(instance: &etc_model::EtcInstance, outcome: &RunOutcome) -> CachedRun {
+fn cached_run(instance: &EtcInstance, outcome: &RunOutcome) -> CachedRun {
     CachedRun {
         instance: instance.name().to_string(),
         n_tasks: instance.n_tasks(),
@@ -895,6 +942,19 @@ mod tests {
         serve(ServeConfig { addr: "127.0.0.1:0".into(), ..config }).expect("bind loopback")
     }
 
+    /// A schedule request as its handler would queue it.
+    fn toy_miss() -> (ScheduleRequest, EtcInstance, u64) {
+        let request = match Request::decode(r#"{"type":"schedule","etc":[[1,2],[2,1]],"evals":50}"#)
+            .unwrap()
+        {
+            Request::Schedule(r) => *r,
+            _ => unreachable!(),
+        };
+        let instance = request.resolve_instance().unwrap();
+        let digest = request.digest(&instance);
+        (request, instance, digest)
+    }
+
     #[test]
     fn binds_ephemeral_port_and_drains() {
         let handle = local(ServeConfig::default());
@@ -916,13 +976,8 @@ mod tests {
     #[test]
     fn zero_queue_cap_rejects_everything() {
         let handle = local(ServeConfig { queue_cap: 0, ..ServeConfig::default() });
-        let request = match Request::decode(r#"{"type":"schedule","etc":[[1,2],[2,1]],"evals":50}"#)
-            .unwrap()
-        {
-            Request::Schedule(r) => *r,
-            _ => unreachable!(),
-        };
-        let err = handle.shared.try_enqueue(request).unwrap_err();
+        let (request, instance, digest) = toy_miss();
+        let err = handle.shared.try_enqueue(request, instance, digest).unwrap_err();
         assert_eq!(err, "queue full");
         handle.shutdown();
         handle.join();
@@ -987,13 +1042,8 @@ mod tests {
     fn enqueue_after_shutdown_reports_draining() {
         let handle = local(ServeConfig::default());
         handle.shutdown();
-        let request = match Request::decode(r#"{"type":"schedule","etc":[[1,2],[2,1]],"evals":50}"#)
-            .unwrap()
-        {
-            Request::Schedule(r) => *r,
-            _ => unreachable!(),
-        };
-        let err = handle.shared.try_enqueue(request).unwrap_err();
+        let (request, instance, digest) = toy_miss();
+        let err = handle.shared.try_enqueue(request, instance, digest).unwrap_err();
         assert_eq!(err, "draining");
         handle.join();
     }

@@ -308,3 +308,53 @@ fn queued_requests_survive_shutdown_drain() {
     assert_eq!(summary.completed, completed);
     assert!(completed >= 1, "at least the in-flight batch completes");
 }
+
+#[test]
+fn cache_hits_do_not_wait_for_a_running_batch() {
+    // One worker, so the scheduler thread sits in the miss's engine run
+    // for its whole 1.5 s budget. A hit on another connection must not
+    // queue behind it.
+    let handle =
+        serve(ServeConfig { addr: "127.0.0.1:0".into(), workers: 1, ..Default::default() })
+            .expect("bind loopback");
+    let addr = handle.addr();
+    let cached = schedule_line(1, 300);
+    let mut warm = Client::connect(addr).unwrap();
+    let first = Json::parse(warm.send_line(&cached).unwrap().trim()).unwrap();
+    assert_eq!(first.get("cached").unwrap().as_bool(), Some(false), "{first}");
+
+    let (order_tx, order_rx) = std::sync::mpsc::channel();
+    std::thread::scope(|scope| {
+        let slow_tx = order_tx.clone();
+        scope.spawn(move || {
+            let mut a = Client::connect(addr).unwrap();
+            let slow = r#"{"type":"schedule","id":"slow","etc_model":{"tasks":24,"machines":3,"seed":77},"time_ms":1500}"#;
+            let v = Json::parse(a.send_line(slow).unwrap().trim()).unwrap();
+            slow_tx.send(("A", v)).unwrap();
+        });
+        // A is queued (or already running) once the daemon counted it.
+        while warm.stats().unwrap().get("received").unwrap().as_u64() != Some(2) {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        scope.spawn(move || {
+            let mut b = Client::connect(addr).unwrap();
+            let v = Json::parse(b.send_line(&cached).unwrap().trim()).unwrap();
+            order_tx.send(("B", v)).unwrap();
+        });
+        let (who, v) = order_rx.recv().unwrap();
+        assert_eq!(who, "B", "the hit answered first: {v}");
+        assert_eq!(v.get("cached").unwrap().as_bool(), Some(true), "{v}");
+        let (who, v) = order_rx.recv().unwrap();
+        assert_eq!(who, "A");
+        assert_eq!(v.get("type").unwrap().as_str(), Some("result"), "{v}");
+        assert_eq!(v.get("cached").unwrap().as_bool(), Some(false), "{v}");
+    });
+
+    let stats = warm.stats().unwrap();
+    for (key, want) in [("cache_hits", 1), ("cache_misses", 2), ("coalesced", 0), ("completed", 3)]
+    {
+        assert_eq!(stats.get(key).unwrap().as_u64(), Some(want), "{key}: {stats}");
+    }
+    handle.shutdown();
+    handle.join();
+}
