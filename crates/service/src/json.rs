@@ -434,7 +434,7 @@ impl<'a> Parser<'a> {
         let mut mantissa = Digits::default();
         // Integer part: a lone `0`, or a digit run that does not start
         // with `0`.
-        let int_ok = match self.peek() {
+        let mut ok = match self.peek() {
             Some(b'0') => {
                 self.pos += 1;
                 true
@@ -442,7 +442,6 @@ impl<'a> Parser<'a> {
             _ => self.digits(&mut mantissa) > 0,
         };
         let mut exponent = 0i64;
-        let mut ok = int_ok;
         if ok && self.peek() == Some(b'.') {
             self.pos += 1;
             let fraction = self.digits(&mut mantissa);
