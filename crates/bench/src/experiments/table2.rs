@@ -46,8 +46,10 @@ impl Row {
 /// portfolio, so the machine stays saturated across instance boundaries
 /// instead of draining between serial per-algorithm loops. Results come
 /// back keyed by submission index; with a deterministic stop condition
-/// (`PA_CGA_GENS`) the rows are byte-identical at any worker count,
-/// including the sequential `PA_CGA_WORKERS=1` path.
+/// (`PA_CGA_GENS`) and one engine thread (`max_threads = 1`) the rows
+/// are byte-identical at any worker count, including the sequential
+/// `PA_CGA_WORKERS=1` path. Multi-thread PA-CGA runs are not
+/// bit-reproducible (DESIGN.md §6).
 pub fn compute_rows(budget: &Budget) -> Vec<Row> {
     compute_rows_on(budget, None)
 }

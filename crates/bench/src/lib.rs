@@ -24,9 +24,11 @@
 //! * `PA_CGA_MAX_THREADS` — top of the thread sweep (default 4, like the
 //!   paper).
 //! * `PA_CGA_GENS` — when set, wall-time-terminated harnesses switch to a
-//!   generation budget of this many generations per run. Runs are then
-//!   deterministic per seed, so the portfolio-parallel harnesses emit
-//!   byte-identical tables at any worker count.
+//!   generation budget of this many generations per run. Runs with one
+//!   engine thread are then deterministic per seed, so with
+//!   `PA_CGA_MAX_THREADS=1` the portfolio-parallel harnesses emit
+//!   byte-identical tables at any worker count. Multi-thread PA-CGA runs
+//!   do fixed work but follow the OS interleaving.
 //! * `PA_CGA_WORKERS` — portfolio worker count override (default:
 //!   available parallelism; 1 forces sequential execution). Replication
 //!   loops run through [`pa_cga_core::runner`], not serial per-seed
@@ -79,9 +81,10 @@ pub struct Budget {
     /// Maximum thread count in sweeps.
     pub max_threads: usize,
     /// When set (`PA_CGA_GENS`), harnesses that default to wall-time
-    /// budgets terminate on a generation budget instead — runs become
-    /// deterministic per seed, so portfolio-parallel and sequential
-    /// execution produce byte-identical tables.
+    /// budgets terminate on a generation budget instead — one-thread runs
+    /// become deterministic per seed, so with `max_threads = 1`
+    /// portfolio-parallel and sequential execution produce byte-identical
+    /// tables.
     pub gens: Option<u64>,
 }
 

@@ -6,8 +6,16 @@
 //! * [`SyncCga`] — the sequential *synchronous* cellular GA (offspring
 //!   written to an auxiliary population, swapped once per generation),
 //!   kept for the async-vs-sync comparison the paper cites from \[1\], \[14\].
+//!   It honours the configured sweep order, ignores `threads`, and has no
+//!   run hooks and no warm start.
+//!
+//! Both run one evolution kernel (`kernel.rs`, the paper's Algorithm 3
+//! for one block of cells). The engines differ only in the population
+//! view they hand it: the parallel engine's live, lock-guarded cells, or
+//! the synchronous engine's old/aux double buffer.
 
 pub mod islands;
+mod kernel;
 pub mod parallel;
 pub mod synchronous;
 

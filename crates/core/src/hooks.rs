@@ -6,14 +6,13 @@
 //! the evolving population (to write crash-safe checkpoints every N
 //! generations) and a way to **stop a run early** without killing the
 //! thread (graceful daemon drain, `job.stop`). Both ride through
-//! [`RunHooks`], threaded into the engines by
-//! [`crate::engine::PaCga::run_hooked`] /
-//! [`crate::engine::SyncCga::run_hooked`] and into the portfolio layer by
-//! [`crate::runner::Runnable::run_with_hooks`].
+//! [`RunHooks`], threaded into the parallel engine by
+//! [`crate::engine::PaCga::run_hooked`]. The synchronous engine takes no
+//! hooks.
 //!
-//! Cost discipline: with no hooks installed the engines pay one branch
-//! per block sweep — nothing per cell, nothing per evaluation — so the
-//! hot path stays inside the `bench_check.sh` perf gate.
+//! Cost discipline: with no hooks installed the evolution kernel pays one
+//! branch per block sweep — nothing per cell, nothing per evaluation — so
+//! the hot path stays inside the `bench_check.sh` perf gate.
 
 use crate::individual::Individual;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -21,8 +20,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// What a checkpoint callback observes: a point-in-time copy of the
 /// population plus the observing thread's progress counters.
 ///
-/// In the parallel engine the snapshot is taken by thread 0 cloning every
-/// cell under its read lock — cells owned by other threads may be from
+/// The snapshot is taken by thread 0 of [`crate::engine::PaCga::run_hooked`]
+/// cloning every cell under its read lock — cells owned by other threads may be from
 /// slightly different sweeps (the same staleness the asynchronous model
 /// already tolerates), but every individual is internally consistent.
 /// Consumers should treat the snapshot as gene vectors + fitness values
@@ -31,11 +30,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// of contract.
 #[derive(Debug)]
 pub struct CheckpointView<'a> {
-    /// Completed block sweeps of the snapshotting thread (thread 0 in the
-    /// parallel engine; the single thread in the synchronous one).
+    /// Completed block sweeps of the snapshotting thread (thread 0).
     pub generation: u64,
-    /// Evaluations globally accounted at snapshot time (flushed shared
-    /// counter plus the snapshotting thread's pending shard).
+    /// Evaluations globally accounted at snapshot time (the shared
+    /// counter; the snapshotting thread has just flushed its own shard).
     pub evaluations: u64,
     /// The population copy.
     pub population: &'a [Individual],

@@ -63,7 +63,6 @@
 //! [`Termination::Evaluations`]: crate::config::Termination::Evaluations
 
 use crate::engine::{PaCga, SyncCga};
-use crate::hooks::RunHooks;
 use crate::trace::RunOutcome;
 use parking_lot::{Condvar, Mutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -79,14 +78,6 @@ use std::time::{Duration, Instant};
 pub trait Runnable {
     /// Executes the run to termination.
     fn run_once(&self) -> RunOutcome;
-
-    /// Executes the run with [`RunHooks`] installed (periodic checkpoint
-    /// callbacks, cooperative cancel). The default ignores the hooks —
-    /// correct for runnables with no safe preemption point (closures,
-    /// heuristics); the engines override it.
-    fn run_with_hooks(&self, _hooks: &RunHooks<'_>) -> RunOutcome {
-        self.run_once()
-    }
 
     /// How many pool slots the run occupies while executing (its internal
     /// engine thread count). Weight-1 jobs pack `workers` at a time; a
@@ -107,10 +98,6 @@ impl Runnable for PaCga<'_> {
         self.run()
     }
 
-    fn run_with_hooks(&self, hooks: &RunHooks<'_>) -> RunOutcome {
-        self.run_hooked(None, hooks).0
-    }
-
     fn weight(&self) -> usize {
         self.config().threads
     }
@@ -119,10 +106,6 @@ impl Runnable for PaCga<'_> {
 impl Runnable for SyncCga<'_> {
     fn run_once(&self) -> RunOutcome {
         self.run()
-    }
-
-    fn run_with_hooks(&self, hooks: &RunHooks<'_>) -> RunOutcome {
-        self.run_hooked(None, hooks).0
     }
 }
 

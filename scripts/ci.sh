@@ -23,7 +23,8 @@
 #   2 test   cargo test -q (unit + property + integration + doc tests)
 #   2b delta delta-oracle differential gate: the incremental-evaluation
 #            suites (prop_delta, prop_operators, delta_toggle,
-#            stress_fitness) re-run under --release, where float codegen
+#            stress_fitness) and the engine bit pins (engine_pins)
+#            re-run under --release, where float codegen
 #            differs from debug — bit-identity must hold in the optimized
 #            build the benchmarks and production runs actually use
 #   2c miri  cargo miri test on the core concurrency subset, time-boxed
@@ -188,7 +189,8 @@ finish
 begin "2b:delta" "delta-oracle differential gate (--release)"
 cargo test -q --release -p scheduling --test prop_delta
 cargo test -q --release -p pa_cga_core \
-  --test prop_operators --test delta_toggle --test stress_fitness
+  --test prop_operators --test delta_toggle --test stress_fitness \
+  --test engine_pins
 finish
 
 if [[ "$FAST" == 1 ]]; then
