@@ -155,6 +155,8 @@ impl<'a> PaCga<'a> {
         let start = Instant::now();
 
         let mut per_thread: Vec<(u64, u64, ThreadTrace)> = Vec::with_capacity(cfg.threads);
+        // Every block evolves through its own copy of this view
+        // (`&mut { live }`); the cells behind it are shared.
         let live = LiveCells { cells: &population, fitness: &fitness };
         if let [block] = blocks.as_slice() {
             // One block: evolve on the caller's thread — no spawn per run.
