@@ -14,82 +14,26 @@
 //!    corpus seeds, `PA_CGA_FUZZ_ITERS` rounds per target (default
 //!    10 000, the CI floor).
 //!
+//! Every `schedule`, `job.start` and `stream.open` spec that decodes
+//! also runs `resolve_instance` and `digest`, as the daemon does before
+//! its cache lookup, so a panic in inline-matrix validation is caught.
+//!
 //! The contract everywhere: malformed input yields `Err` (which the
 //! daemon turns into an `error` response) — **never** a panic. A panic
 //! in a connection handler would kill that client's thread; in the
 //! recovery scan it would take down the daemon at boot.
 
+mod support;
+
+use pa_cga_service::protocol::ScheduleRequest;
 use pa_cga_service::{Json, Request};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::panic::catch_unwind;
-use std::path::PathBuf;
+use support::{corpus_lines, mutate};
 
 fn fuzz_iters() -> u64 {
     std::env::var("PA_CGA_FUZZ_ITERS").ok().and_then(|v| v.parse().ok()).unwrap_or(10_000)
-}
-
-fn corpus_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus")
-}
-
-/// Every line of every corpus file (blank lines skipped).
-fn corpus_lines() -> Vec<(String, String)> {
-    let mut lines = Vec::new();
-    let entries = std::fs::read_dir(corpus_dir()).expect("tests/corpus exists");
-    for entry in entries.flatten() {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        let text =
-            String::from_utf8_lossy(&std::fs::read(entry.path()).expect("corpus file readable"))
-                .into_owned();
-        for line in text.lines() {
-            if !line.trim().is_empty() {
-                lines.push((name.clone(), line.to_string()));
-            }
-        }
-    }
-    assert!(lines.len() >= 8, "corpus unexpectedly small: {} inputs", lines.len());
-    lines
-}
-
-/// Applies 1–4 random byte-level mutations to `base` (same scheme as
-/// the checkpoint fuzz driver, biased toward JSON structure bytes).
-fn mutate(base: &[u8], rng: &mut SmallRng) -> Vec<u8> {
-    let mut bytes = base.to_vec();
-    for _ in 0..rng.gen_range(1..=4usize) {
-        if bytes.is_empty() {
-            bytes.push(rng.gen_range(0..=255u32) as u8);
-            continue;
-        }
-        match rng.gen_range(0..5u32) {
-            0 => {
-                let i = rng.gen_range(0..bytes.len());
-                bytes[i] = rng.gen_range(0..=255u32) as u8;
-            }
-            1 => {
-                let i = rng.gen_range(0..=bytes.len());
-                let table = br#"{}[]",:0123456789.eE-+\u null"#;
-                let b = table[rng.gen_range(0..table.len())];
-                bytes.insert(i, b);
-            }
-            2 => {
-                let i = rng.gen_range(0..bytes.len());
-                bytes.remove(i);
-            }
-            3 => {
-                let keep = rng.gen_range(0..bytes.len());
-                bytes.truncate(keep);
-            }
-            _ => {
-                let start = rng.gen_range(0..bytes.len());
-                let len = rng.gen_range(0..(bytes.len() - start).min(32) + 1);
-                let chunk: Vec<u8> = bytes[start..start + len].to_vec();
-                let at = rng.gen_range(0..=bytes.len());
-                bytes.splice(at..at, chunk);
-            }
-        }
-    }
-    bytes
 }
 
 /// Runs `target` over the whole corpus and `iters` mutants, panicking
@@ -127,7 +71,32 @@ fn json_parser_never_panics() {
     drive("Json::parse", 0x50AC_6A02, |input| Json::parse(input).is_err());
 }
 
+/// Resolves and digests a decoded spec, as the daemon does before its
+/// cache lookup; a resolve error is an answer, not a failure.
+fn resolve_and_digest(spec: &ScheduleRequest) {
+    if let Ok(instance) = spec.resolve_instance() {
+        std::hint::black_box(spec.digest(&instance));
+    }
+}
+
 #[test]
 fn request_decoder_never_panics() {
-    drive("Request::decode", 0x50AC_6A03, |input| Request::decode(input).is_err());
+    drive("Request::decode", 0x50AC_6A03, |input| match Request::decode(input) {
+        Err(_) => true,
+        Ok(Request::Schedule(spec)) => {
+            resolve_and_digest(&spec);
+            false
+        }
+        Ok(Request::JobStart(start)) => {
+            resolve_and_digest(&start.spec);
+            false
+        }
+        Ok(Request::StreamOpen(open)) => {
+            if let Some(spec) = &open.spec {
+                resolve_and_digest(spec);
+            }
+            false
+        }
+        Ok(_) => false,
+    });
 }
