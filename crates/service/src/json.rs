@@ -2,19 +2,30 @@
 //!
 //! The workspace's vendored `serde` is a no-op stand-in (DESIGN.md §5),
 //! so the service speaks JSON through this hand-rolled module instead:
-//! ~250 lines covering exactly what a newline-delimited wire protocol
-//! needs. Numbers are `f64` (like JavaScript); objects preserve key
-//! order; the writer emits compact one-line output so every encoded
+//! a few hundred lines covering exactly what a newline-delimited wire
+//! protocol needs. Numbers are `f64` (like JavaScript); objects preserve
+//! key order; the writer emits compact one-line output so every encoded
 //! value is a valid JSON-lines frame.
+//!
+//! One scanner serves two consumers. [`Json::parse`] builds a [`Json`]
+//! tree. [`parse_flat`] walks the same grammar over a request line but
+//! collects two top-level keys straight into flat `f64` buffers: the
+//! first `matrix_key` into one row-major [`FlatMatrix`], the first
+//! `vector_key` into a `Vec<f64>`. Only the other fields become `Json`
+//! values. Both consumers share every byte-level routine, so a document
+//! fails with the same message at the same byte either way, and the
+//! nesting cap counts the same levels.
 //!
 //! Numbers follow the RFC 8259 §6 grammar exactly:
 //! `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`. So `01`,
 //! `1.`, `-.5` and `1.e3` are `bad number` errors (at the token's first
 //! byte) even though Rust's `f64::from_str` would take them, and a token
-//! that overflows `f64` (`1e309`) is a `non-finite number` error. The
-//! scanner checks that grammar in the same pass that accumulates the
-//! decimal mantissa `m` and exponent `e`. When `m` has at most 15
-//! significant digits and `|e| ≤ 22`, both `m` and `10^|e|` are exact
+//! that overflows `f64` (`1e309`) is a `non-finite number` error. One
+//! number routine checks that grammar in the same pass that accumulates
+//! the decimal mantissa `m` and exponent `e`, and returns a plain `f64`;
+//! only the tree consumer wraps it in [`Json::Num`]. When `m` is written
+//! with at most 15 digits (a lone integer `0` aside) and `|e| ≤ 22`, both
+//! `m` and `10^|e|` are exact
 //! `f64`s, so `m × 10^e` (or `m ÷ 10^-e`) rounds once and yields exactly
 //! the bits of a correctly rounding parser (Clinger's fast path). Every
 //! other token falls back to `str::parse`. The wire's matrices (short
@@ -54,17 +65,117 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// A matrix of numbers scanned straight into one row-major buffer.
+///
+/// Only [`parse_flat`] builds one. It keeps every row while the rows
+/// are as long as row 0 and the cell count stays within the scan's cap:
+/// `cells` then holds `rows × cols` values. It stops keeping cells at
+/// the first row of another length (recorded in [`FlatMatrix::ragged`];
+/// the rows before it stay) or once the cells would pass the cap
+/// (`cells` is emptied; `rows × cols` is then over the cap too). Either
+/// way it goes on counting rows.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct FlatMatrix {
+    rows: usize,
+    cols: usize,
+    cells: Vec<f64>,
+    ragged: Option<(usize, usize)>,
+}
+
+impl FlatMatrix {
+    /// Rows seen.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Row 0's length (0 with no rows).
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// The rows kept, row-major: all of them, or those before the first
+    /// ragged row, or none once the matrix passed the cap.
+    pub fn cells(&self) -> &[f64] {
+        &self.cells
+    }
+
+    /// The first row whose length differs from row 0's, as
+    /// `(row, length)`.
+    pub fn ragged(&self) -> Option<(usize, usize)> {
+        self.ragged
+    }
+}
+
+/// Where a value scanned as numbers broke the expected shape: the first
+/// offender in document order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Misshapen {
+    /// The value is `null`.
+    Null,
+    /// The value is neither `null` nor an array.
+    NotArray,
+    /// Row `t` of a matrix is not an array.
+    Row(usize),
+    /// Element `m` of row `t` is not a number (a vector's elements are
+    /// row 0).
+    Cell(usize, usize),
+}
+
+/// A document scanned by [`parse_flat`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct FlatObject {
+    /// Every field but the first `matrix_key` and `vector_key` (later
+    /// duplicates of those two are scanned and dropped, as
+    /// [`Json::get`] would never reach them). A document that is not an
+    /// object lands here whole.
+    pub fields: Json,
+    /// The first top-level `matrix_key`'s value, or where it broke the
+    /// shape.
+    pub matrix: Option<Result<FlatMatrix, Misshapen>>,
+    /// The first top-level `vector_key`'s value, or where it broke the
+    /// shape.
+    pub vector: Option<Result<Vec<f64>, Misshapen>>,
+}
+
+/// Parses a document like [`Json::parse`] (same grammar, same errors at
+/// the same bytes, same nesting cap) but collects the first top-level
+/// `matrix_key` into a [`FlatMatrix`] that keeps at most `cap` cells,
+/// and the first top-level `vector_key` into a `Vec<f64>`, without a
+/// `Json` per number. A value of the wrong shape is not an error here:
+/// it comes back as a [`Misshapen`], for the caller to judge.
+pub fn parse_flat(
+    text: &str,
+    matrix_key: &str,
+    vector_key: &str,
+    cap: usize,
+) -> Result<FlatObject, JsonError> {
+    Parser::document(text, |p| {
+        if p.peek() != Some(b'{') {
+            return Ok(FlatObject { fields: p.value()?, matrix: None, vector: None });
+        }
+        let (mut matrix, mut vector) = (None, None);
+        let fields = p.object(|p, key| {
+            if key == matrix_key {
+                // A duplicate is scanned with no room, so it stores nothing.
+                let room = if matrix.is_some() { 0 } else { cap };
+                let value = p.matrix(room)?;
+                matrix.get_or_insert(value);
+            } else if key == vector_key {
+                let value = p.vector()?;
+                vector.get_or_insert(value);
+            } else {
+                return p.value().map(Some);
+            }
+            Ok(None)
+        })?;
+        Ok(FlatObject { fields, matrix, vector })
+    })
+}
+
 impl Json {
     /// Parses a complete JSON document; trailing garbage is an error.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0, stack: Vec::new() };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after JSON value"));
-        }
-        Ok(value)
+        Parser::document(text, Parser::value)
     }
 
     /// Object field lookup (`None` on non-objects and missing keys).
@@ -216,6 +327,24 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
+    /// Runs `body` over a whole document: leading and trailing
+    /// whitespace allowed, anything else after the value an error.
+    fn document<T>(
+        text: &'a str,
+        body: impl FnOnce(&mut Self) -> Result<T, JsonError>,
+    ) -> Result<T, JsonError> {
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0, stack: Vec::new() };
+        p.skip_ws();
+        let value = body(&mut p)?;
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(p.err("trailing characters after JSON value"));
+        }
+        Ok(value)
+    }
+
+    #[cold]
+    #[inline(never)]
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError { message: message.into(), offset: self.pos }
     }
@@ -255,8 +384,8 @@ impl<'a> Parser<'a> {
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(b'{') => self.object(|p, _| p.value().map(Some)),
+            Some(c) if starts_number(c) => self.number().map(Json::Num),
             Some(c) => Err(self.err(format!("unexpected character {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
@@ -270,39 +399,61 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
+    /// The array grammar: `element(self, i)` consumes element `i`, and
+    /// this walks the brackets, commas and whitespace around it. Returns
+    /// the element count.
+    fn elements(
+        &mut self,
+        mut element: impl FnMut(&mut Self, usize) -> Result<(), JsonError>,
+    ) -> Result<usize, JsonError> {
         self.enter()?;
         self.expect_byte(b'[')?;
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
             self.depth -= 1;
-            return Ok(Json::Arr(Vec::new()));
+            return Ok(0);
         }
-        // Elements collect on the shared stack above `base` (nested
-        // arrays stack above them and pop back off), so each array
-        // allocates once, at its exact length.
-        let base = self.stack.len();
+        let mut count = 0;
         loop {
             self.skip_ws();
-            let item = self.value()?;
-            self.stack.push(item);
+            element(self, count)?;
+            count += 1;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
                     self.depth -= 1;
-                    // `base <= len`: every nested array popped back to
-                    // its own base, which is at or above ours.
-                    return Ok(Json::Arr(self.stack.split_off(base)));
+                    return Ok(count);
                 }
                 _ => return Err(self.err("expected ',' or ']' in array")),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
+    fn array(&mut self) -> Result<Json, JsonError> {
+        // Elements collect on the shared stack above `base` (nested
+        // arrays stack above them and pop back off), so each array
+        // allocates once, at its exact length.
+        let base = self.stack.len();
+        self.elements(|p, _| {
+            let item = p.value()?;
+            p.stack.push(item);
+            Ok(())
+        })?;
+        // `base <= len`: every nested array popped back to its own base,
+        // which is at or above ours.
+        Ok(Json::Arr(self.stack.split_off(base)))
+    }
+
+    /// The object grammar: `field(self, key)` consumes the value after
+    /// `key:` and returns what to keep under `key` (`None` keeps
+    /// nothing).
+    fn object(
+        &mut self,
+        mut field: impl FnMut(&mut Self, &str) -> Result<Option<Json>, JsonError>,
+    ) -> Result<Json, JsonError> {
         self.enter()?;
         self.expect_byte(b'{')?;
         let mut fields = Vec::new();
@@ -318,8 +469,9 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect_byte(b':')?;
             self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
+            if let Some(value) = field(self, &key)? {
+                fields.push((key, value));
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -331,6 +483,67 @@ impl<'a> Parser<'a> {
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }
         }
+    }
+
+    /// One array element scanned as a number: `Some(x)` for a number,
+    /// `None` (after parsing it) for any other value.
+    #[inline(always)]
+    fn cell(&mut self) -> Result<Option<f64>, JsonError> {
+        if self.peek().is_some_and(starts_number) {
+            self.number().map(Some)
+        } else {
+            self.value().map(|_| None)
+        }
+    }
+
+    /// A matrix of numbers into a [`FlatMatrix`] keeping at most `cap`
+    /// cells.
+    fn matrix(&mut self, cap: usize) -> Result<Result<FlatMatrix, Misshapen>, JsonError> {
+        if self.peek() != Some(b'[') {
+            return Ok(Err(not_array(self.value()?)));
+        }
+        let mut rows = RowSink { flat: FlatMatrix::default(), cap, full: false, shape: None };
+        self.elements(|p, t| {
+            if p.peek() != Some(b'[') {
+                p.value()?;
+                rows.misshapen(Misshapen::Row(t));
+                return Ok(());
+            }
+            let len = p.elements(|p, m| {
+                match p.cell()? {
+                    Some(x) => rows.cell(t, m, x),
+                    None => rows.misshapen(Misshapen::Cell(t, m)),
+                }
+                Ok(())
+            })?;
+            rows.end_row(t, len);
+            Ok(())
+        })?;
+        Ok(match rows.shape {
+            Some(shape) => Err(shape),
+            None => Ok(rows.flat),
+        })
+    }
+
+    /// An array of numbers into a `Vec<f64>`.
+    fn vector(&mut self) -> Result<Result<Vec<f64>, Misshapen>, JsonError> {
+        if self.peek() != Some(b'[') {
+            return Ok(Err(not_array(self.value()?)));
+        }
+        let (mut items, mut shape) = (Vec::new(), None);
+        self.elements(|p, m| {
+            match p.cell()? {
+                Some(x) => items.push(x),
+                None => {
+                    shape.get_or_insert(Misshapen::Cell(0, m));
+                }
+            }
+            Ok(())
+        })?;
+        Ok(match shape {
+            Some(shape) => Err(shape),
+            None => Ok(items),
+        })
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -411,41 +624,48 @@ impl<'a> Parser<'a> {
         Ok(value)
     }
 
-    /// Consumes the ASCII digits at the cursor, folding each into `mantissa`,
-    /// and returns how many there were.
-    fn digits(&mut self, mantissa: &mut Digits) -> usize {
+    /// Consumes the ASCII digits at the cursor, folding each into
+    /// `mantissa` (wrapping: past [`FAST_DIGITS`] digits its value is not
+    /// used), and returns how many there were.
+    fn digits(&mut self, mantissa: &mut u64) -> u32 {
         let start = self.pos;
         while let Some(d @ b'0'..=b'9') = self.peek() {
-            mantissa.push(d - b'0');
+            *mantissa = mantissa.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
             self.pos += 1;
         }
-        self.pos - start
+        (self.pos - start) as u32
     }
 
     /// One pass over an RFC 8259 §6 number: the grammar is checked while
     /// the decimal mantissa and exponent accumulate, and short tokens take
     /// Clinger's exact fast path (see the module doc).
-    fn number(&mut self) -> Result<Json, JsonError> {
+    #[inline(always)]
+    fn number(&mut self) -> Result<f64, JsonError> {
         let start = self.pos;
         let negative = self.peek() == Some(b'-');
         if negative {
             self.pos += 1;
         }
-        let mut mantissa = Digits::default();
+        let mut mantissa = 0u64;
         // Integer part: a lone `0`, or a digit run that does not start
         // with `0`.
+        let mut digits = 0u32;
         let mut ok = match self.peek() {
             Some(b'0') => {
                 self.pos += 1;
                 true
             }
-            _ => self.digits(&mut mantissa) > 0,
+            _ => {
+                digits = self.digits(&mut mantissa);
+                digits > 0
+            }
         };
         let mut exponent = 0i64;
         if ok && self.peek() == Some(b'.') {
             self.pos += 1;
             let fraction = self.digits(&mut mantissa);
-            exponent -= fraction as i64;
+            digits = digits.saturating_add(fraction);
+            exponent -= i64::from(fraction);
             ok = fraction > 0;
         }
         if ok && matches!(self.peek(), Some(b'e' | b'E')) {
@@ -475,7 +695,7 @@ impl<'a> Parser<'a> {
         if !ok || self.peek().is_some_and(is_number_byte) {
             return Err(self.number_error("bad number", start));
         }
-        let n = match mantissa.exact(exponent) {
+        let n = match exact(mantissa, digits, exponent) {
             Some(magnitude) if negative => -magnitude,
             Some(magnitude) => magnitude,
             None => {
@@ -485,7 +705,7 @@ impl<'a> Parser<'a> {
         if !n.is_finite() {
             return Err(self.number_error("non-finite number", start));
         }
-        Ok(Json::Num(n))
+        Ok(n)
     }
 
     /// The run of number bytes starting at `start`: the token a number
@@ -498,6 +718,8 @@ impl<'a> Parser<'a> {
         std::str::from_utf8(run.get(..len).unwrap_or_default()).unwrap_or_default()
     }
 
+    #[cold]
+    #[inline(never)]
     fn number_error(&self, what: &str, start: usize) -> JsonError {
         JsonError { message: format!("{what} {:?}", self.token(start)), offset: start }
     }
@@ -509,7 +731,69 @@ fn is_number_byte(c: u8) -> bool {
     c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-')
 }
 
-/// Most significant digits a mantissa may have on the fast path: every
+/// Bytes that start a number token.
+fn starts_number(c: u8) -> bool {
+    c == b'-' || c.is_ascii_digit()
+}
+
+/// The shape verdict on a value scanned as numbers that is no array.
+fn not_array(value: Json) -> Misshapen {
+    match value {
+        Json::Null => Misshapen::Null,
+        _ => Misshapen::NotArray,
+    }
+}
+
+/// Where [`Parser::matrix`] keeps its rows while it scans them (see
+/// [`FlatMatrix`] for what is kept).
+struct RowSink {
+    flat: FlatMatrix,
+    cap: usize,
+    /// The cells would have passed `cap`: none are kept any more.
+    full: bool,
+    /// The first shape error: nothing is kept any more.
+    shape: Option<Misshapen>,
+}
+
+impl RowSink {
+    fn cell(&mut self, t: usize, m: usize, x: f64) {
+        let flat = &mut self.flat;
+        // A row longer than row 0 is ragged; `end_row` drops what it kept
+        // of it.
+        if self.full || self.shape.is_some() || flat.ragged.is_some() || (t > 0 && m >= flat.cols) {
+            return;
+        }
+        if flat.cells.len() >= self.cap {
+            // Rows up to this one already hold more than `cap` cells
+            // (this row is no shorter than row 0 so far), so
+            // `rows × cols` ends over the cap whatever follows.
+            self.full = true;
+            flat.cells = Vec::new();
+            return;
+        }
+        flat.cells.push(x);
+    }
+
+    fn end_row(&mut self, t: usize, len: usize) {
+        let flat = &mut self.flat;
+        flat.rows = t + 1;
+        if t == 0 {
+            flat.cols = len;
+        } else if len != flat.cols && flat.ragged.is_none() {
+            flat.ragged = Some((t, len));
+            flat.cells.truncate(t.saturating_mul(flat.cols));
+        }
+    }
+
+    fn misshapen(&mut self, shape: Misshapen) {
+        if self.shape.is_none() {
+            self.shape = Some(shape);
+            self.flat.cells = Vec::new();
+        }
+    }
+}
+
+/// Most digits a mantissa may be written with on the fast path: every
 /// 15-digit integer is below 2^53, so it converts to `f64` exactly.
 const FAST_DIGITS: u32 = 15;
 
@@ -519,40 +803,18 @@ const POW10: [f64; 23] = [
     1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 ];
 
-/// A number's decimal mantissa as it is scanned, capped at what the fast
-/// path can use.
-#[derive(Default)]
-struct Digits {
-    /// The significant digits seen so far, while there are at most
-    /// [`FAST_DIGITS`] of them.
-    value: u64,
-    /// Significant digits seen (leading zeros are not significant).
-    significant: u32,
-}
-
-impl Digits {
-    fn push(&mut self, digit: u8) {
-        if self.significant == 0 && digit == 0 {
-            return;
-        }
-        self.significant = self.significant.saturating_add(1);
-        if self.significant <= FAST_DIGITS {
-            self.value = self.value * 10 + u64::from(digit);
-        }
+/// `mantissa × 10^exponent`, when the mantissa's `digits` digits (a
+/// leading integer `0` not counted) fit [`FAST_DIGITS`] and the power of
+/// ten is exact: one IEEE multiply or divide then rounds exactly once, to
+/// the same bits a correctly rounding parser yields (Clinger 1990).
+/// `None` sends the token to `str::parse`.
+fn exact(mantissa: u64, digits: u32, exponent: i64) -> Option<f64> {
+    if digits > FAST_DIGITS {
+        return None;
     }
-
-    /// `value × 10^exponent`, when both factors are exact `f64`s: one
-    /// IEEE multiply or divide then rounds exactly once, to the same bits
-    /// a correctly rounding parser yields (Clinger 1990). `None` sends
-    /// the token to `str::parse`.
-    fn exact(&self, exponent: i64) -> Option<f64> {
-        if self.significant > FAST_DIGITS {
-            return None;
-        }
-        let mantissa = self.value as f64;
-        let scale = POW10.get(usize::try_from(exponent.unsigned_abs()).ok()?)?;
-        Some(if exponent < 0 { mantissa / scale } else { mantissa * scale })
-    }
+    let scale = POW10.get(usize::try_from(exponent.unsigned_abs()).ok()?)?;
+    let mantissa = mantissa as f64;
+    Some(if exponent < 0 { mantissa / scale } else { mantissa * scale })
 }
 
 #[cfg(test)]
@@ -797,5 +1059,123 @@ mod tests {
         let wide = format!("[{}]", vec!["{\"a\":[1]}"; 10_000].join(","));
         let v = Json::parse(&wide).unwrap();
         assert_eq!(v.as_arr().unwrap().len(), 10_000);
+    }
+
+    /// What [`parse_flat`] must return for `text` (keys `etc` and
+    /// `ready`), derived from the tree [`Json::parse`] builds. Cells are
+    /// only compared while `rows × cols` is within `cap`.
+    fn flat_oracle(text: &str) -> Result<FlatObject, JsonError> {
+        let shape_of = |v: &Json| match v {
+            Json::Null => Misshapen::Null,
+            _ => Misshapen::NotArray,
+        };
+        let matrix_of = |v: &Json| -> Result<FlatMatrix, Misshapen> {
+            let rows = v.as_arr().ok_or_else(|| shape_of(v))?;
+            let mut flat = FlatMatrix { rows: rows.len(), ..FlatMatrix::default() };
+            for (t, row) in rows.iter().enumerate() {
+                let cells = row.as_arr().ok_or(Misshapen::Row(t))?;
+                let values: Vec<f64> = cells
+                    .iter()
+                    .enumerate()
+                    .map(|(m, c)| c.as_f64().ok_or(Misshapen::Cell(t, m)))
+                    .collect::<Result<_, _>>()?;
+                if t == 0 {
+                    flat.cols = values.len();
+                }
+                if values.len() != flat.cols && flat.ragged.is_none() {
+                    flat.ragged = Some((t, values.len()));
+                }
+                if flat.ragged.is_none() {
+                    flat.cells.extend(values);
+                }
+            }
+            Ok(flat)
+        };
+        let vector_of = |v: &Json| -> Result<Vec<f64>, Misshapen> {
+            let items = v.as_arr().ok_or_else(|| shape_of(v))?;
+            items.iter().enumerate().map(|(m, x)| x.as_f64().ok_or(Misshapen::Cell(0, m))).collect()
+        };
+        let Json::Obj(all) = Json::parse(text)? else {
+            return Ok(FlatObject { fields: Json::parse(text)?, matrix: None, vector: None });
+        };
+        let (mut fields, mut matrix, mut vector) = (Vec::new(), None, None);
+        for (key, value) in all {
+            match key.as_str() {
+                "etc" => {
+                    matrix.get_or_insert_with(|| matrix_of(&value));
+                }
+                "ready" => {
+                    vector.get_or_insert_with(|| vector_of(&value));
+                }
+                _ => fields.push((key, value)),
+            }
+        }
+        Ok(FlatObject { fields: Json::Obj(fields), matrix, vector })
+    }
+
+    #[test]
+    fn flat_scan_matches_the_tree_oracle() {
+        let cases = [
+            r#"{"type":"schedule","etc":[[1,2.5],[3,4]],"ready":[0,1],"seed":7}"#,
+            r#"{"etc":[[7,8],[9,10]],"type":"schedule","deep":{"etc":[1],"ready":"x"}}"#,
+            r#"{"etc":[[1,2]],"etc":[["x"]],"ready":null,"ready":[1,2]}"#,
+            r#"{"etc":[[1,2],[3],[4,5]],"ready":[1,"a",2]}"#,
+            r#"{"etc":[[1,2],[3,4,5],[-1,0]]}"#,
+            r#"{"etc":[[],[1,2]]}"#,
+            r#"{"etc":[[1],2,["x"]]}"#,
+            r#"{"etc":[[1,[2]]]}"#,
+            r#"{"etc":null,"ready":5}"#,
+            r#"{"etc":{"a":[[1]]},"ready":{}}"#,
+            r#"{"etc":[],"ready":[]}"#,
+            r#" { "etc" : [ [ 1 , 2 ] , [ 3 , 4 ] ] , "ready" : [ 0 , 0 ] } "#,
+            r#"[{"etc":[[1]]}]"#,
+            r#"null"#,
+            r#"{}"#,
+            r#"{"etc":[[1,2]],"x":1,}"#,
+            r#"{"etc":[[1,2],[3,01]]}"#,
+            r#"{"etc":[[1,2],[3,4]]"#,
+            r#"{"etc":[[1,2],[3,4]]}]"#,
+            r#"{"ready":[1e309]}"#,
+            r#"{"etc":[["\q"]]}"#,
+            r#"{"etc":[[1 2]]}"#,
+            r#"{"etc"[[1]]}"#,
+        ];
+        for text in cases {
+            assert_eq!(parse_flat(text, "etc", "ready", usize::MAX), flat_oracle(text), "{text}");
+        }
+    }
+
+    #[test]
+    fn flat_scan_nests_exactly_as_deep_as_the_tree() {
+        for depth in [MAX_DEPTH - 3, MAX_DEPTH - 2] {
+            let text = format!(r#"{{"etc":[[{}1{}]]}}"#, "[".repeat(depth), "]".repeat(depth));
+            let flat = parse_flat(&text, "etc", "ready", usize::MAX);
+            assert_eq!(flat, flat_oracle(&text), "depth {depth}");
+            assert_eq!(flat.is_ok(), depth + 3 <= MAX_DEPTH, "depth {depth}");
+        }
+    }
+
+    #[test]
+    fn flat_scan_stops_keeping_cells_past_the_cap() {
+        let text = r#"{"etc":[[1,2],[3,4],[5,6]]}"#;
+        let scan = |cap| match parse_flat(text, "etc", "ready", cap).unwrap().matrix {
+            Some(Ok(flat)) => flat,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(scan(6).cells(), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        for cap in [0, 1, 4, 5] {
+            let flat = scan(cap);
+            assert_eq!((flat.rows(), flat.cols(), flat.ragged()), (3, 2, None), "cap {cap}");
+            assert!(flat.cells().is_empty(), "cap {cap}: {:?}", flat.cells());
+        }
+        // A ragged row stops the keeping; the rows before it stay.
+        let flat = match parse_flat(r#"{"etc":[[1,2],[3,4,5],[6,7]]}"#, "etc", "r", 4).unwrap() {
+            FlatObject { matrix: Some(Ok(flat)), .. } => flat,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!((flat.rows(), flat.ragged(), flat.cells()), (3, Some((1, 3)), &[1.0, 2.0][..]));
+        // Past the cap the scan still checks the grammar.
+        let err = parse_flat(r#"{"etc":[[1,2,3],[4,5,]]}"#, "etc", "r", 2).unwrap_err();
+        assert_eq!(err, Json::parse(r#"{"etc":[[1,2,3],[4,5,]]}"#).unwrap_err());
     }
 }

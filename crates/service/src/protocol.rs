@@ -49,7 +49,7 @@
 //! `job_list`, `stream_opened`, `stream_result`, `stream_error`
 //! (typed: `code` + `message` + `expected_seq`), `stream_closed`.
 
-use crate::json::Json;
+use crate::json::{parse_flat, FlatMatrix, FlatObject, Json, Misshapen};
 use etc_model::{
     braun_instance, braun_instance_names, Consistency, EtcGenerator, EtcInstance, EtcMatrix,
     GeneratorParams, Heterogeneity,
@@ -182,13 +182,21 @@ pub fn validate_job_name(name: &str) -> Result<(), String> {
 pub enum InstanceSource {
     /// A named instance from the Braun registry.
     Braun(String),
-    /// An inline task-major matrix (+ optional ready times).
+    /// An inline task-major matrix (+ optional ready times), as the
+    /// request line's scan left it: `etc[t][m]` at `cells[t * cols + m]`,
+    /// never a `Json` tree. Decoding has checked its shape (an array of
+    /// arrays of numbers); its values (non-empty, at least one machine,
+    /// at most [`MAX_INLINE_CELLS`] cells, equal row lengths, entries
+    /// finite and > 0, `ready` one finite value ≥ 0 per machine) are
+    /// checked when the instance is resolved or the digest taken, so a
+    /// bad value is still answered with the request's `id`. A matrix
+    /// past the cap keeps no cells (see [`FlatMatrix`]).
     Inline {
         /// Instance name echoed in the response.
         name: String,
-        /// `etc[t][m]`, strictly positive and finite.
-        etc: Vec<Vec<f64>>,
-        /// Per-machine ready times, non-negative and finite.
+        /// The matrix cells, task-major.
+        etc: FlatMatrix,
+        /// Per-machine ready times.
         ready: Option<Vec<f64>>,
     },
     /// A generator spec under the Braun et al. range-based ETC model.
@@ -241,33 +249,58 @@ fn field_bool(v: &Json, key: &str) -> Result<bool, String> {
     }
 }
 
-fn matrix_rows(v: &Json) -> Result<Vec<Vec<f64>>, String> {
-    let rows = v.as_arr().ok_or("\"etc\" must be an array of rows")?;
-    let mut out = Vec::with_capacity(rows.len());
-    for (t, row) in rows.iter().enumerate() {
-        let cells = row.as_arr().ok_or_else(|| format!("etc row {t} must be an array"))?;
-        let mut values = Vec::with_capacity(cells.len());
-        for (m, cell) in cells.iter().enumerate() {
-            let x = cell.as_f64().ok_or_else(|| format!("etc[{t}][{m}] must be a number"))?;
-            values.push(x);
-        }
-        out.push(values);
+/// The decode-stage message for an `etc` value of the wrong shape.
+fn etc_shape_error(shape: Misshapen) -> String {
+    match shape {
+        Misshapen::Null | Misshapen::NotArray => "\"etc\" must be an array of rows".into(),
+        Misshapen::Row(t) => format!("etc row {t} must be an array"),
+        Misshapen::Cell(t, m) => format!("etc[{t}][{m}] must be a number"),
     }
-    Ok(out)
 }
 
-fn ready_vector(v: &Json) -> Result<Option<Vec<f64>>, String> {
-    match v.get("ready") {
-        None | Some(Json::Null) => Ok(None),
-        Some(arr) => {
-            let items = arr.as_arr().ok_or("\"ready\" must be an array of numbers")?;
-            let mut out = Vec::with_capacity(items.len());
-            for (m, item) in items.iter().enumerate() {
-                out.push(item.as_f64().ok_or_else(|| format!("ready[{m}] must be a number"))?);
-            }
-            Ok(Some(out))
+/// The `ready` vector (`null` reads as absent), or the decode-stage
+/// message for one of the wrong shape.
+fn ready_times(ready: Option<Result<Vec<f64>, Misshapen>>) -> Result<Option<Vec<f64>>, String> {
+    match ready {
+        None | Some(Err(Misshapen::Null)) => Ok(None),
+        Some(Ok(items)) => Ok(Some(items)),
+        Some(Err(Misshapen::Cell(_, m))) => Err(format!("ready[{m}] must be a number")),
+        Some(Err(_)) => Err("\"ready\" must be an array of numbers".into()),
+    }
+}
+
+/// The resolve-stage checks on an inline matrix and its ready times, in
+/// the order a row-by-row reader meets them: emptiness, the cell cap,
+/// then each row's length and entries, then `ready`.
+fn check_inline(etc: &FlatMatrix, ready: Option<&[f64]>) -> Result<(), String> {
+    let (n_tasks, n_machines) = (etc.rows(), etc.cols());
+    if n_tasks == 0 {
+        return Err("inline etc matrix is empty".into());
+    }
+    if n_machines == 0 {
+        return Err("inline etc matrix has zero machines".into());
+    }
+    if n_tasks.saturating_mul(n_machines) > MAX_INLINE_CELLS {
+        return Err(format!("inline etc larger than {MAX_INLINE_CELLS} cells"));
+    }
+    // The kept cells are every row before the first ragged one.
+    if let Some((i, x)) = etc.cells().iter().enumerate().find(|&(_, &x)| !x.is_finite() || x <= 0.0)
+    {
+        let (t, m) = (i / n_machines, i % n_machines);
+        return Err(format!("etc[{t}][{m}] = {x}; entries must be finite and > 0"));
+    }
+    if let Some((t, len)) = etc.ragged() {
+        return Err(format!("etc row {t} has {len} machines, row 0 has {n_machines}"));
+    }
+    if let Some(r) = ready {
+        if r.len() != n_machines {
+            return Err(format!("ready has {} entries, matrix has {n_machines} machines", r.len()));
+        }
+        if let Some((m, x)) = r.iter().enumerate().find(|&(_, &x)| !x.is_finite() || x < 0.0) {
+            return Err(format!("ready[{m}] = {x}; ready times must be finite and >= 0"));
         }
     }
+    Ok(())
 }
 
 fn generator_spec(v: &Json) -> Result<GeneratorParams, String> {
@@ -370,7 +403,8 @@ fn stream_event_body(v: &Json) -> Result<GridEvent, String> {
 }
 
 impl StreamOpenRequest {
-    fn from_json(v: &Json) -> Result<StreamOpenRequest, String> {
+    fn from_doc(doc: FlatObject) -> Result<StreamOpenRequest, String> {
+        let v = &doc.fields;
         let session = field_str(v, "session")?;
         if let Some(name) = &session {
             validate_job_name(name).map_err(|e| format!("session {e}"))?;
@@ -392,14 +426,14 @@ impl StreamOpenRequest {
             return Err("\"grid\" must be in 2..=32".into());
         }
         let spec = if resume {
-            if v.get("braun").is_some() || v.get("etc").is_some() || v.get("etc_model").is_some() {
+            if v.get("braun").is_some() || doc.matrix.is_some() || v.get("etc_model").is_some() {
                 return Err("resume takes the instance from the persisted session; \
                      drop \"braun\"/\"etc\"/\"etc_model\""
                     .into());
             }
             None
         } else {
-            let spec = ScheduleRequest::from_json(v)?;
+            let spec = ScheduleRequest::from_doc(doc)?;
             if !matches!(spec.termination, Termination::Evaluations(_)) {
                 return Err(
                     "stream sessions take a per-event \"evals\" budget (not gens/time_ms)".into()
@@ -453,12 +487,9 @@ impl Request {
     /// assert!(Request::decode(r#"{"type":"warp"}"#).unwrap_err().contains("unknown request type"));
     /// ```
     pub fn decode(line: &str) -> Result<Request, String> {
-        let v = Json::parse(line).map_err(|e| format!("malformed JSON: {e}"))?;
-        Request::from_json(&v)
-    }
-
-    /// Decodes a parsed JSON object.
-    pub fn from_json(v: &Json) -> Result<Request, String> {
+        let malformed = |e| format!("malformed JSON: {e}");
+        let doc = parse_flat(line, "etc", "ready", MAX_INLINE_CELLS).map_err(malformed)?;
+        let v = &doc.fields;
         let kind = field_str(v, "type")?.ok_or("request needs a \"type\" field")?;
         let job_name = |v: &Json| -> Result<String, String> {
             let name = field_str(v, "job")?.ok_or("job requests need a \"job\" field")?;
@@ -469,7 +500,7 @@ impl Request {
             "stats" => Ok(Request::Stats),
             "ping" => Ok(Request::Ping),
             "shutdown" => Ok(Request::Shutdown),
-            "schedule" => Ok(Request::Schedule(Box::new(ScheduleRequest::from_json(v)?))),
+            "schedule" => Ok(Request::Schedule(Box::new(ScheduleRequest::from_doc(doc)?))),
             "job.start" => {
                 let job = field_str(v, "job")?;
                 if let Some(name) = &job {
@@ -479,12 +510,10 @@ impl Request {
                 if checkpoint_gens == Some(0) {
                     return Err("\"checkpoint_gens\" must be positive".into());
                 }
-                Ok(Request::JobStart(Box::new(JobStartRequest {
-                    job,
-                    checkpoint_gens,
-                    spec: ScheduleRequest::from_json(v)?,
-                    raw: v.clone(),
-                })))
+                let spec = ScheduleRequest::from_doc(doc)?;
+                // The manifest keeps the request as sent, matrix included.
+                let raw = Json::parse(line).map_err(malformed)?;
+                Ok(Request::JobStart(Box::new(JobStartRequest { job, checkpoint_gens, spec, raw })))
             }
             "job.status" => Ok(Request::JobStatus { job: job_name(v)? }),
             "job.log" => Ok(Request::JobLog {
@@ -494,7 +523,7 @@ impl Request {
             "job.stop" => Ok(Request::JobStop { job: job_name(v)? }),
             "job.archive" => Ok(Request::JobArchive { job: job_name(v)? }),
             "job.list" => Ok(Request::JobList),
-            "stream.open" => Ok(Request::StreamOpen(Box::new(StreamOpenRequest::from_json(v)?))),
+            "stream.open" => Ok(Request::StreamOpen(Box::new(StreamOpenRequest::from_doc(doc)?))),
             "stream.event" => {
                 // A bad `seq` or event body is carried as typed data so
                 // the server answers `stream_error` without tearing the
@@ -513,12 +542,20 @@ impl Request {
             )),
         }
     }
+
+    /// Decodes a parsed JSON object, such as a job manifest's persisted
+    /// request: it is rendered back to one line and decoded by
+    /// [`Request::decode`], so both entry points share one scan.
+    pub fn from_json(v: &Json) -> Result<Request, String> {
+        Request::decode(&v.to_string())
+    }
 }
 
 impl ScheduleRequest {
-    pub(crate) fn from_json(v: &Json) -> Result<ScheduleRequest, String> {
+    fn from_doc(doc: FlatObject) -> Result<ScheduleRequest, String> {
+        let FlatObject { fields, matrix: inline, vector: ready } = doc;
+        let v = &fields;
         let braun = field_str(v, "braun")?;
-        let inline = v.get("etc");
         let spec = v.get("etc_model");
         let source = match (braun, inline, spec) {
             (Some(name), None, None) => {
@@ -529,8 +566,8 @@ impl ScheduleRequest {
             }
             (None, Some(etc), None) => InstanceSource::Inline {
                 name: field_str(v, "name")?.unwrap_or_else(|| "inline".into()),
-                etc: matrix_rows(etc)?,
-                ready: ready_vector(v)?,
+                etc: etc.map_err(etc_shape_error)?,
+                ready: ready_times(ready)?,
             },
             (None, None, Some(model)) => InstanceSource::Generator(generator_spec(model)?),
             _ => {
@@ -578,55 +615,39 @@ impl ScheduleRequest {
             InstanceSource::Braun(name) => Ok(braun_instance(name)),
             InstanceSource::Generator(params) => Ok(EtcGenerator::new(*params).generate()),
             InstanceSource::Inline { name, etc, ready } => {
-                let n_tasks = etc.len();
-                let Some(first_row) = etc.first() else {
-                    return Err("inline etc matrix is empty".into());
-                };
-                let n_machines = first_row.len();
-                if n_machines == 0 {
-                    return Err("inline etc matrix has zero machines".into());
-                }
-                if n_tasks.saturating_mul(n_machines) > MAX_INLINE_CELLS {
-                    return Err(format!("inline etc larger than {MAX_INLINE_CELLS} cells"));
-                }
-                let mut values = Vec::with_capacity(n_tasks * n_machines);
-                for (t, row) in etc.iter().enumerate() {
-                    if row.len() != n_machines {
-                        return Err(format!(
-                            "etc row {t} has {} machines, row 0 has {n_machines}",
-                            row.len()
-                        ));
-                    }
-                    for (m, &x) in row.iter().enumerate() {
-                        if !x.is_finite() || x <= 0.0 {
-                            return Err(format!(
-                                "etc[{t}][{m}] = {x}; entries must be finite and > 0"
-                            ));
-                        }
-                        values.push(x);
-                    }
-                }
-                let matrix = EtcMatrix::from_task_major(n_tasks, n_machines, values);
-                match ready {
-                    None => Ok(EtcInstance::new(name.clone(), matrix)),
-                    Some(r) => {
-                        if r.len() != n_machines {
-                            return Err(format!(
-                                "ready has {} entries, matrix has {n_machines} machines",
-                                r.len()
-                            ));
-                        }
-                        for (m, &x) in r.iter().enumerate() {
-                            if !x.is_finite() || x < 0.0 {
-                                return Err(format!(
-                                    "ready[{m}] = {x}; ready times must be finite and >= 0"
-                                ));
-                            }
-                        }
-                        Ok(EtcInstance::with_ready_times(name.clone(), matrix, r.clone()))
-                    }
-                }
+                check_inline(etc, ready.as_deref())?;
+                let matrix =
+                    EtcMatrix::from_task_major(etc.rows(), etc.cols(), etc.cells().to_vec());
+                Ok(match ready {
+                    None => EtcInstance::new(name.clone(), matrix),
+                    Some(r) => EtcInstance::with_ready_times(name.clone(), matrix, r.clone()),
+                })
             }
+        }
+    }
+
+    /// The name [`ScheduleRequest::resolve_instance`] gives the
+    /// instance, without building it.
+    pub fn instance_name(&self) -> String {
+        match &self.source {
+            InstanceSource::Braun(name) | InstanceSource::Inline { name, .. } => name.clone(),
+            InstanceSource::Generator(params) => params.braun_name(0),
+        }
+    }
+
+    /// What a cache lookup needs: the instance checked exactly as
+    /// [`ScheduleRequest::resolve_instance`] checks it (same errors), and
+    /// the digest [`ScheduleRequest::digest`] would take of it. An inline
+    /// matrix is checked and hashed straight from its decoded cells, so
+    /// no instance is built; a Braun or generator source has no cells
+    /// until it is resolved.
+    pub fn checked_digest(&self) -> Result<u64, String> {
+        match &self.source {
+            InstanceSource::Inline { etc, ready, .. } => {
+                check_inline(etc, ready.as_deref())?;
+                Ok(self.digest_cells(etc.rows(), etc.cols(), etc.cells(), ready.as_deref()))
+            }
+            _ => self.resolve_instance().map(|instance| self.digest(&instance)),
         }
     }
 
@@ -645,14 +666,34 @@ impl ScheduleRequest {
     /// every config knob that affects the outcome. Two requests with
     /// equal digests ask for the same computation.
     pub fn digest(&self, instance: &EtcInstance) -> u64 {
+        self.digest_cells(
+            instance.n_tasks(),
+            instance.n_machines(),
+            instance.etc().task_major_data(),
+            Some(instance.ready_times()),
+        )
+    }
+
+    /// The digest over dimensions, task-major cells, ready times (`None`
+    /// hashes the all-zero default, as [`EtcInstance::new`] sets it) and
+    /// knobs: the one routine behind [`ScheduleRequest::digest`] and
+    /// [`ScheduleRequest::checked_digest`].
+    fn digest_cells(
+        &self,
+        n_tasks: usize,
+        n_machines: usize,
+        cells: &[f64],
+        ready: Option<&[f64]>,
+    ) -> u64 {
         let mut h = Fnv1a::new();
-        h.write_u64(instance.n_tasks() as u64);
-        h.write_u64(instance.n_machines() as u64);
-        for &x in instance.etc().task_major_data() {
+        h.write_u64(n_tasks as u64);
+        h.write_u64(n_machines as u64);
+        for &x in cells {
             h.write_u64(x.to_bits());
         }
-        for &r in instance.ready_times() {
-            h.write_u64(r.to_bits());
+        match ready {
+            Some(ready) => ready.iter().for_each(|r| h.write_u64(r.to_bits())),
+            None => (0..n_machines).for_each(|_| h.write_u64(0f64.to_bits())),
         }
         h.write_u64(self.seed);
         h.write_u64(self.threads as u64);
@@ -1310,6 +1351,49 @@ mod tests {
         for (line, needle) in cases {
             let err = schedule(line).resolve_instance().unwrap_err();
             assert!(err.contains(needle), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn over_cap_matrix_keeps_no_cells_and_keeps_its_message() {
+        let line = format!(r#"{{"type":"schedule","etc":[[{}1]]}}"#, "1,".repeat(MAX_INLINE_CELLS));
+        let request = schedule(&line);
+        let InstanceSource::Inline { etc, .. } = &request.source else {
+            panic!("inline source expected, got {:?}", request.source);
+        };
+        assert_eq!((etc.rows(), etc.cols()), (1, MAX_INLINE_CELLS + 1));
+        assert!(etc.cells().is_empty(), "{} cells kept past the cap", etc.cells().len());
+        let want = "inline etc larger than 1048576 cells";
+        assert_eq!(request.resolve_instance().unwrap_err(), want);
+        assert_eq!(request.checked_digest().unwrap_err(), want);
+    }
+
+    #[test]
+    fn checked_digest_equals_the_resolved_instance_digest() {
+        for line in [
+            r#"{"type":"schedule","name":"pin","etc":[[1.5,2,3.25],[4,0.1,6e2],[7,8,9.75],[0.3,12,1e-3]],"ready":[0,1.5,0.2],"evals":1000,"seed":11,"threads":2,"ls":3,"crossover":"ux"}"#,
+            r#"{"type":"schedule","etc":[[1,2],[3,4],[5,6]],"gens":7,"seed":2}"#,
+            r#"{"type":"schedule","etc":[[1,2],[3,4]],"ready":[0,-0],"time_ms":5}"#,
+            r#"{"type":"schedule","braun":"u_i_hilo.0","gens":50,"seed":3}"#,
+            r#"{"type":"schedule","etc_model":{"tasks":32,"machines":4,"consistency":"s","seed":9}}"#,
+        ] {
+            let request = schedule(line);
+            let instance = request.resolve_instance().unwrap();
+            assert_eq!(request.checked_digest(), Ok(request.digest(&instance)), "{line}");
+            assert_eq!(request.instance_name(), instance.name(), "{line}");
+        }
+        // Both report a bad value the same way.
+        for line in [
+            r#"{"type":"schedule","etc":[[1,2],[3]]}"#,
+            r#"{"type":"schedule","etc":[[1,2],[3,0],[4]]}"#,
+            r#"{"type":"schedule","etc":[[]]}"#,
+            r#"{"type":"schedule","etc":[[1,2]],"ready":[1,-1]}"#,
+        ] {
+            let request = schedule(line);
+            assert_eq!(
+                request.checked_digest().unwrap_err(),
+                request.resolve_instance().unwrap_err()
+            );
         }
     }
 

@@ -645,9 +645,11 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     }
 }
 
-/// Answers one `schedule` request on its connection's thread: resolve,
-/// the pool check and the digest run here, and so does a cache hit. Only
-/// a miss goes through the queue to the scheduler thread.
+/// Answers one `schedule` request on its connection's thread: the
+/// instance checks, the pool check and the digest run here, and so does
+/// a cache hit. An inline matrix is checked and digested straight from
+/// its decoded cells, so a hit builds no instance. Only a miss resolves
+/// the instance and goes through the queue to the scheduler thread.
 fn handle_schedule(shared: &Arc<Shared>, request: ScheduleRequest) -> Response {
     // ord: Relaxed — advisory intake gate, same contract as the stream
     // gate: once the drain has begun, nothing new is answered, hit or
@@ -659,35 +661,34 @@ fn handle_schedule(shared: &Arc<Shared>, request: ScheduleRequest) -> Response {
         return Response::Busy { reason: "draining".into() };
     }
     // Bad instances are answered immediately, never queued.
-    let instance = match request.resolve_instance() {
-        Ok(i) => i,
-        Err(message) => {
-            Metrics::bump(&shared.metrics.errors);
-            return Response::Error { id: request.id, message };
-        }
+    let digest = match request.checked_digest() {
+        Ok(digest) => digest,
+        Err(message) => return schedule_error(shared, request.id, message),
     };
     // A request may not ask for more engine threads than the pool has
     // slots: the weight would clamp but the engine would still spawn
     // every thread, oversubscribing the host.
     if request.threads > shared.workers {
-        Metrics::bump(&shared.metrics.errors);
-        return Response::Error {
-            message: format!(
-                "\"threads\" = {} exceeds the server's worker pool ({})",
-                request.threads, shared.workers
-            ),
-            id: request.id,
-        };
+        let message = format!(
+            "\"threads\" = {} exceeds the server's worker pool ({})",
+            request.threads, shared.workers
+        );
+        return schedule_error(shared, request.id, message);
     }
-    let digest = request.digest(&instance);
     // Hit-only lookup: a miss is counted by the scheduler's own lookup,
     // so every request is counted exactly once, as a hit or a miss.
     let hit = shared.cache.lock().hit(digest);
     if let Some(run) = hit {
         Metrics::bump(&shared.metrics.received);
         Metrics::bump(&shared.metrics.completed);
-        return result_response(&request, instance.name(), &run, true, false);
+        return result_response(&request, &request.instance_name(), &run, true, false);
     }
+    // `checked_digest` ran the same checks, so this cannot fail; a
+    // failure is still answered, never unwrapped.
+    let instance = match request.resolve_instance() {
+        Ok(instance) => instance,
+        Err(message) => return schedule_error(shared, request.id, message),
+    };
     match shared.try_enqueue(request, instance, digest) {
         Err(reason) => {
             Metrics::bump(&shared.metrics.busy);
@@ -698,6 +699,12 @@ fn handle_schedule(shared: &Arc<Shared>, request: ScheduleRequest) -> Response {
             Response::Error { id: None, message: "scheduler unavailable".into() }
         }),
     }
+}
+
+/// Counts and answers a `schedule` request refused before the queue.
+fn schedule_error(shared: &Arc<Shared>, id: Option<String>, message: String) -> Response {
+    Metrics::bump(&shared.metrics.errors);
+    Response::Error { id, message }
 }
 
 /// Opens a stream session for this connection, enforcing the one-session

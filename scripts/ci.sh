@@ -23,10 +23,12 @@
 #   2 test   cargo test -q (unit + property + integration + doc tests)
 #   2b delta delta-oracle differential gate: the incremental-evaluation
 #            suites (prop_delta, prop_operators, delta_toggle,
-#            stress_fitness) and the engine bit pins (engine_pins)
-#            re-run under --release, where float codegen
-#            differs from debug — bit-identity must hold in the optimized
-#            build the benchmarks and production runs actually use
+#            stress_fitness), the engine bit pins (engine_pins) and the
+#            request decoder's wire pins and fuzz smoke (decode_pins,
+#            fuzz_smoke) re-run under --release, where float codegen
+#            differs from debug — bit-identity, including the JSON number
+#            fast path's, must hold in the optimized build the benchmarks
+#            and production runs actually use
 #   2c miri  cargo miri test on the core concurrency subset, time-boxed
 #            to 120s (soft-skip with a visible WARN when the miri
 #            component is unavailable; skipped under --fast)
@@ -191,6 +193,7 @@ cargo test -q --release -p scheduling --test prop_delta
 cargo test -q --release -p pa_cga_core \
   --test prop_operators --test delta_toggle --test stress_fitness \
   --test engine_pins
+cargo test -q --release -p pa_cga_service --test decode_pins --test fuzz_smoke
 finish
 
 if [[ "$FAST" == 1 ]]; then
