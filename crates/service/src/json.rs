@@ -8,7 +8,7 @@
 //! value is a valid JSON-lines frame.
 //!
 //! One scanner serves two consumers. [`Json::parse`] builds a [`Json`]
-//! tree. [`parse_flat`] walks the same grammar over a request line but
+//! tree. `parse_flat` walks the same grammar over a request line but
 //! collects two top-level keys straight into flat `f64` buffers: the
 //! first `matrix_key` into one row-major [`FlatMatrix`], the first
 //! `vector_key` into a `Vec<f64>`. Only the other fields become `Json`
@@ -64,113 +64,6 @@ impl std::fmt::Display for JsonError {
 }
 
 impl std::error::Error for JsonError {}
-
-/// A matrix of numbers scanned straight into one row-major buffer.
-///
-/// Only [`parse_flat`] builds one. It keeps every row while the rows
-/// are as long as row 0 and the cell count stays within the scan's cap:
-/// `cells` then holds `rows × cols` values. It stops keeping cells at
-/// the first row of another length (recorded in [`FlatMatrix::ragged`];
-/// the rows before it stay) or once the cells would pass the cap
-/// (`cells` is emptied; `rows × cols` is then over the cap too). Either
-/// way it goes on counting rows.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FlatMatrix {
-    rows: usize,
-    cols: usize,
-    cells: Vec<f64>,
-    ragged: Option<(usize, usize)>,
-}
-
-impl FlatMatrix {
-    /// Rows seen.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Row 0's length (0 with no rows).
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// The rows kept, row-major: all of them, or those before the first
-    /// ragged row, or none once the matrix passed the cap.
-    pub fn cells(&self) -> &[f64] {
-        &self.cells
-    }
-
-    /// The first row whose length differs from row 0's, as
-    /// `(row, length)`.
-    pub fn ragged(&self) -> Option<(usize, usize)> {
-        self.ragged
-    }
-}
-
-/// Where a value scanned as numbers broke the expected shape: the first
-/// offender in document order.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Misshapen {
-    /// The value is `null`.
-    Null,
-    /// The value is neither `null` nor an array.
-    NotArray,
-    /// Row `t` of a matrix is not an array.
-    Row(usize),
-    /// Element `m` of row `t` is not a number (a vector's elements are
-    /// row 0).
-    Cell(usize, usize),
-}
-
-/// A document scanned by [`parse_flat`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlatObject {
-    /// Every field but the first `matrix_key` and `vector_key` (later
-    /// duplicates of those two are scanned and dropped, as
-    /// [`Json::get`] would never reach them). A document that is not an
-    /// object lands here whole.
-    pub fields: Json,
-    /// The first top-level `matrix_key`'s value, or where it broke the
-    /// shape.
-    pub matrix: Option<Result<FlatMatrix, Misshapen>>,
-    /// The first top-level `vector_key`'s value, or where it broke the
-    /// shape.
-    pub vector: Option<Result<Vec<f64>, Misshapen>>,
-}
-
-/// Parses a document like [`Json::parse`] (same grammar, same errors at
-/// the same bytes, same nesting cap) but collects the first top-level
-/// `matrix_key` into a [`FlatMatrix`] that keeps at most `cap` cells,
-/// and the first top-level `vector_key` into a `Vec<f64>`, without a
-/// `Json` per number. A value of the wrong shape is not an error here:
-/// it comes back as a [`Misshapen`], for the caller to judge.
-pub fn parse_flat(
-    text: &str,
-    matrix_key: &str,
-    vector_key: &str,
-    cap: usize,
-) -> Result<FlatObject, JsonError> {
-    Parser::document(text, |p| {
-        if p.peek() != Some(b'{') {
-            return Ok(FlatObject { fields: p.value()?, matrix: None, vector: None });
-        }
-        let (mut matrix, mut vector) = (None, None);
-        let fields = p.object(|p, key| {
-            if key == matrix_key {
-                // A duplicate is scanned with no room, so it stores nothing.
-                let room = if matrix.is_some() { 0 } else { cap };
-                let value = p.matrix(room)?;
-                matrix.get_or_insert(value);
-            } else if key == vector_key {
-                let value = p.vector()?;
-                vector.get_or_insert(value);
-            } else {
-                return p.value().map(Some);
-            }
-            Ok(None)
-        })?;
-        Ok(FlatObject { fields, matrix, vector })
-    })
-}
 
 impl Json {
     /// Parses a complete JSON document; trailing garbage is an error.
@@ -312,6 +205,114 @@ fn write_escaped(f: &mut std::fmt::Formatter<'_>, s: &str) -> std::fmt::Result {
         }
     }
     f.write_str("\"")
+}
+
+/// A matrix of numbers scanned straight into one row-major buffer.
+///
+/// Only the request scan (`parse_flat`) builds one, so every cell is a
+/// finite number. It keeps every row while the rows are as long as row
+/// 0 and the cell count stays within the scan's cap: `cells` then holds
+/// `rows × cols` values. It stops keeping cells at the first row of
+/// another length (recorded in [`FlatMatrix::ragged`]; the rows before
+/// it stay) or once the cells would pass the cap (`cells` is emptied;
+/// `rows × cols` is then over the cap too). Either way it goes on
+/// counting rows.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct FlatMatrix {
+    rows: usize,
+    cols: usize,
+    cells: Vec<f64>,
+    ragged: Option<(usize, usize)>,
+}
+
+impl FlatMatrix {
+    /// Rows seen.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Row 0's length (0 with no rows).
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// The rows kept, row-major: all of them, or those before the first
+    /// ragged row, or none once the matrix passed the cap.
+    pub fn cells(&self) -> &[f64] {
+        &self.cells
+    }
+
+    /// The first row whose length differs from row 0's, as
+    /// `(row, length)`.
+    pub fn ragged(&self) -> Option<(usize, usize)> {
+        self.ragged
+    }
+}
+
+/// Where a value scanned as numbers broke the expected shape: the first
+/// offender in document order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Misshapen {
+    /// The value is `null`.
+    Null,
+    /// The value is neither `null` nor an array.
+    NotArray,
+    /// Row `t` of a matrix is not an array.
+    Row(usize),
+    /// Element `m` of row `t` is not a number (a vector's elements are
+    /// row 0).
+    Cell(usize, usize),
+}
+
+/// A document scanned by [`parse_flat`].
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct FlatObject {
+    /// Every field but the first `matrix_key` and `vector_key` (later
+    /// duplicates of those two are scanned and dropped, as
+    /// [`Json::get`] would never reach them). A document that is not an
+    /// object lands here whole.
+    pub(crate) fields: Json,
+    /// The first top-level `matrix_key`'s value, or where it broke the
+    /// shape.
+    pub(crate) matrix: Option<Result<FlatMatrix, Misshapen>>,
+    /// The first top-level `vector_key`'s value, or where it broke the
+    /// shape.
+    pub(crate) vector: Option<Result<Vec<f64>, Misshapen>>,
+}
+
+/// Parses a document like [`Json::parse`] (same grammar, same errors at
+/// the same bytes, same nesting cap) but collects the first top-level
+/// `matrix_key` into a [`FlatMatrix`] that keeps at most `cap` cells,
+/// and the first top-level `vector_key` into a `Vec<f64>`, without a
+/// `Json` per number. A value of the wrong shape is not an error here:
+/// it comes back as a [`Misshapen`], for the caller to judge.
+pub(crate) fn parse_flat(
+    text: &str,
+    matrix_key: &str,
+    vector_key: &str,
+    cap: usize,
+) -> Result<FlatObject, JsonError> {
+    Parser::document(text, |p| {
+        if p.peek() != Some(b'{') {
+            return Ok(FlatObject { fields: p.value()?, matrix: None, vector: None });
+        }
+        let (mut matrix, mut vector) = (None, None);
+        let fields = p.object(|p, key| {
+            if key == matrix_key {
+                // A duplicate is scanned with no room, so it stores nothing.
+                let room = if matrix.is_some() { 0 } else { cap };
+                let value = p.matrix(room)?;
+                matrix.get_or_insert(value);
+            } else if key == vector_key {
+                let value = p.vector()?;
+                vector.get_or_insert(value);
+            } else {
+                return p.value().map(Some);
+            }
+            Ok(None)
+        })?;
+        Ok(FlatObject { fields, matrix, vector })
+    })
 }
 
 /// Nesting bound: the daemon parses untrusted input, and recursive
@@ -633,7 +634,7 @@ impl<'a> Parser<'a> {
             *mantissa = mantissa.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
             self.pos += 1;
         }
-        (self.pos - start) as u32
+        u32::try_from(self.pos - start).unwrap_or(u32::MAX)
     }
 
     /// One pass over an RFC 8259 §6 number: the grammar is checked while
@@ -1121,6 +1122,8 @@ mod tests {
             r#"{"etc":[[1,2]],"etc":[["x"]],"ready":null,"ready":[1,2]}"#,
             r#"{"etc":[[1,2],[3],[4,5]],"ready":[1,"a",2]}"#,
             r#"{"etc":[[1,2],[3,4,5],[-1,0]]}"#,
+            r#"{"etc":[[1,2],[-0,-3],[4,5]]}"#,
+            r#"{"etc":[[1,2],[3,-4,5]]}"#,
             r#"{"etc":[[],[1,2]]}"#,
             r#"{"etc":[[1],2,["x"]]}"#,
             r#"{"etc":[[1,[2]]]}"#,

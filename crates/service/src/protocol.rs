@@ -628,7 +628,7 @@ impl ScheduleRequest {
 
     /// The name [`ScheduleRequest::resolve_instance`] gives the
     /// instance, without building it.
-    pub fn instance_name(&self) -> String {
+    pub(crate) fn instance_name(&self) -> String {
         match &self.source {
             InstanceSource::Braun(name) | InstanceSource::Inline { name, .. } => name.clone(),
             InstanceSource::Generator(params) => params.braun_name(0),
@@ -641,7 +641,7 @@ impl ScheduleRequest {
     /// matrix is checked and hashed straight from its decoded cells, so
     /// no instance is built; a Braun or generator source has no cells
     /// until it is resolved.
-    pub fn checked_digest(&self) -> Result<u64, String> {
+    pub(crate) fn checked_digest(&self) -> Result<u64, String> {
         match &self.source {
             InstanceSource::Inline { etc, ready, .. } => {
                 check_inline(etc, ready.as_deref())?;
