@@ -24,12 +24,12 @@
 //! number routine checks that grammar in the same pass that accumulates
 //! the decimal mantissa `m` and exponent `e`, and returns a plain `f64`;
 //! only the tree consumer wraps it in [`Json::Num`]. When `m` is written
-//! with at most 15 digits (a lone integer `0` aside) and `|e| ≤ 22`, both
-//! `m` and `10^|e|` are exact
-//! `f64`s, so `m × 10^e` (or `m ÷ 10^-e`) rounds once and yields exactly
-//! the bits of a correctly rounding parser (Clinger's fast path). Every
-//! other token falls back to `str::parse`. The wire's matrices (short
-//! decimals) almost always take the fast path.
+//! with at most 15 digits (a lone integer `0` aside) and `|e| ≤ 22`,
+//! both `m` and `10^|e|` are exact `f64`s, so `m × 10^e` (or
+//! `m ÷ 10^-e`) rounds once and yields exactly the bits of a correctly
+//! rounding parser (Clinger's fast path). Every other token falls back
+//! to `str::parse`. The wire's matrices (short decimals) almost always
+//! take the fast path.
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -265,7 +265,7 @@ pub(crate) enum Misshapen {
 }
 
 /// A document scanned by [`parse_flat`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct FlatObject {
     /// Every field but the first `matrix_key` and `vector_key` (later
     /// duplicates of those two are scanned and dropped, as
@@ -344,8 +344,6 @@ impl<'a> Parser<'a> {
         Ok(value)
     }
 
-    #[cold]
-    #[inline(never)]
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError { message: message.into(), offset: self.pos }
     }
@@ -719,8 +717,6 @@ impl<'a> Parser<'a> {
         std::str::from_utf8(run.get(..len).unwrap_or_default()).unwrap_or_default()
     }
 
-    #[cold]
-    #[inline(never)]
     fn number_error(&self, what: &str, start: usize) -> JsonError {
         JsonError { message: format!("{what} {:?}", self.token(start)), offset: start }
     }
