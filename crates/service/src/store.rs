@@ -1003,6 +1003,41 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_keys_keep_first_position_and_last_body() {
+        let named = |name: &str, ready: f64| {
+            let etc = etc_model::EtcMatrix::from_task_major(1, 1, vec![2.0]);
+            EtcInstance::with_ready_times(name, etc, vec![ready])
+        };
+        let mut b = StoreBuilder::new();
+        for (name, ready) in [("a", 1.0), ("b", 2.0), ("a", 3.0), ("c", 4.0), ("b", 5.0)] {
+            upsert(
+                &mut b.instances,
+                name.to_string(),
+                encode_instance(&named(name, ready)).unwrap(),
+            );
+        }
+        for (digest, tag) in [(7, 1), (3, 2), (7, 3), (3, 4), (9, 5)] {
+            upsert(&mut b.bests, digest, encode_best(digest, &run(tag, 4, 2)).unwrap());
+        }
+        for (name, payload) in [("x", "one"), ("y", "two"), ("x", "three")] {
+            let body = encode_checkpoint(name, payload.as_bytes()).unwrap();
+            upsert(&mut b.checkpoints, name.to_string(), body);
+        }
+        assert_eq!((b.instance_count(), b.best_count(), b.checkpoint_count()), (3, 3, 2));
+
+        let mut expected = StoreBuilder::new();
+        for (name, ready) in [("a", 3.0), ("b", 5.0), ("c", 4.0)] {
+            expected.add_instance(&named(name, ready)).unwrap();
+        }
+        for (digest, tag) in [(7, 3), (3, 4), (9, 5)] {
+            expected.add_best(digest, &run(tag, 4, 2)).unwrap();
+        }
+        expected.add_checkpoint("x", b"three").unwrap();
+        expected.add_checkpoint("y", b"two").unwrap();
+        assert!(b.encode() == expected.encode());
+    }
+
+    #[test]
     fn to_builder_merge_preserves_everything() {
         let bytes = sample_store();
         let mut r = StoreReader::open(Cursor::new(bytes)).unwrap();

@@ -602,3 +602,223 @@ fn scan_after_a_point_lookup_sees_every_record() {
     assert!(r.get_instance("toy_4x2").unwrap().is_some());
     assert_eq!(r.instances().unwrap().len(), 3);
 }
+
+// --- the drain's merge: `to_builder` against a scan-and-re-add oracle ---
+
+/// The merge written out through the public scans: every instance, then
+/// every best, then every checkpoint, each re-added through `add_*`. The
+/// first error any scan reports is the merge's error.
+fn oracle_merge(bytes: &[u8]) -> Result<Vec<u8>, String> {
+    let text = |e: StoreError| e.to_string();
+    let mut r = open(bytes.to_vec()).map_err(text)?;
+    let mut b = StoreBuilder::new();
+    for instance in r.instances().map_err(text)? {
+        b.add_instance(&instance).map_err(text)?;
+    }
+    for (digest, run) in r.bests().map_err(text)? {
+        b.add_best(digest, &run).map_err(text)?;
+    }
+    for (name, payload) in r.checkpoints().map_err(text)? {
+        b.add_checkpoint(&name, &payload).map_err(text)?;
+    }
+    Ok(b.encode())
+}
+
+/// What the drain's merge produces: `to_builder`, then the image.
+fn drained(bytes: &[u8]) -> Result<Vec<u8>, String> {
+    let text = |e: StoreError| e.to_string();
+    Ok(open(bytes.to_vec()).map_err(text)?.to_builder().map_err(text)?.encode())
+}
+
+/// `sample()` with a future section (kind 99) spliced in before the
+/// table, resealed.
+fn with_unknown_section() -> Vec<u8> {
+    let old = sample();
+    let old_table_offset = u64_le(&old, 16) as usize;
+    let trailer_at = old.len() - TRAILER_LEN;
+    let future_payload = b"payload from the future";
+    let mut bytes = old[..old_table_offset].to_vec();
+    let future_off = bytes.len() as u64;
+    bytes.extend_from_slice(future_payload);
+    let new_table_offset = bytes.len() as u64;
+    bytes.extend_from_slice(&old[old_table_offset..trailer_at]);
+    bytes.extend_from_slice(&99u32.to_le_bytes());
+    bytes.extend_from_slice(&0u32.to_le_bytes());
+    bytes.extend_from_slice(&future_off.to_le_bytes());
+    bytes.extend_from_slice(&(future_payload.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&old[trailer_at..]);
+    bytes[12..16].copy_from_slice(&6u32.to_le_bytes());
+    bytes[16..24].copy_from_slice(&new_table_offset.to_le_bytes());
+    reseal(&mut bytes);
+    bytes
+}
+
+/// The serve benchmark's corpus shape: the 12 Braun instances, one
+/// generated 4096×64 instance, a checkpoint and 300 archived bests of
+/// 512 tasks.
+fn serve_mix_shaped() -> Vec<u8> {
+    use etc_model::{Consistency, EtcGenerator, GeneratorParams, Heterogeneity};
+    let mut b = StoreBuilder::new();
+    for name in etc_model::braun_instance_names() {
+        b.add_instance(&etc_model::braun_instance(name)).unwrap();
+    }
+    let params = GeneratorParams {
+        n_tasks: 4096,
+        n_machines: 64,
+        task_heterogeneity: Heterogeneity::High,
+        machine_heterogeneity: Heterogeneity::High,
+        consistency: Consistency::Inconsistent,
+        seed: 41,
+    };
+    b.add_instance(&EtcGenerator::new(params).generate_named("large.4096x64")).unwrap();
+    b.add_checkpoint("job-7", &[0x5A; 3000]).unwrap();
+    for tag in 0..300u64 {
+        b.add_best(tag.wrapping_mul(0x9E37_79B9_7F4A_7C15), &best(tag, 512, 16)).unwrap();
+    }
+    b.encode()
+}
+
+#[test]
+fn to_builder_reencodes_byte_identically() {
+    let corpora = [
+        ("sample", sample()),
+        ("three_of_each", three_of_each()),
+        ("empty", StoreBuilder::new().encode()),
+        ("unknown section", with_unknown_section()),
+        ("serve-mix shaped", serve_mix_shaped()),
+    ];
+    let dir = std::env::temp_dir().join(format!("pacst-drain-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (label, bytes) in corpora {
+        let expected = oracle_merge(&bytes).unwrap_or_else(|e| panic!("{label}: oracle: {e}"));
+        assert!(drained(&bytes) == Ok(expected.clone()), "{label}: to_builder image differs");
+        let builder = open(bytes).unwrap().to_builder().unwrap();
+        let path = dir.join("drained.pacst");
+        builder.write(&path).unwrap();
+        assert!(std::fs::read(&path).unwrap() == builder.encode(), "{label}: write != encode");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `bytes` with the body of record `index` in section `kind` rewritten by
+/// `damage` and its frame CRC recomputed, so only the body's values are
+/// wrong.
+fn with_body_damage(
+    mut bytes: Vec<u8>,
+    kind: u32,
+    index: usize,
+    damage: impl Fn(&mut [u8]),
+) -> Vec<u8> {
+    let at = record_offsets(&bytes, kind)[index];
+    let len = u32_le(&bytes, at) as usize;
+    damage(&mut bytes[at + 8..at + 8 + len]);
+    let crc = Crc32::of(&bytes[at + 8..at + 8 + len]);
+    bytes[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
+    bytes
+}
+
+/// Every damaged image the corruption tests above build, plus value
+/// damage under a valid record CRC in each section.
+fn damaged_images() -> Vec<(String, Vec<u8>)> {
+    let mut out: Vec<(String, Vec<u8>)> = Vec::new();
+    let full = sample();
+    for cut in 0..full.len() {
+        out.push((format!("truncated at {cut}"), full[..cut].to_vec()));
+    }
+    let mut bytes = sample();
+    bytes[0] = b'G';
+    out.push(("bad magic".into(), bytes));
+    let mut bytes = sample();
+    bytes[8..10].copy_from_slice(&2u16.to_le_bytes());
+    out.push(("wrong version".into(), bytes));
+    let mut bytes = sample();
+    bytes[12] ^= 0x01;
+    out.push(("header byte".into(), bytes));
+    let mut bytes = sample();
+    let table_offset = u64_le(&bytes, 16) as usize;
+    bytes[table_offset + 4] ^= 0xFF;
+    out.push(("table byte".into(), bytes));
+    let mut bytes = sample();
+    let (off, _) = find_section(&bytes, SECTION_INSTANCES);
+    bytes[off as usize + 16 + 4] ^= 0x20;
+    out.push(("instance body byte".into(), bytes));
+    let mut bytes = sample();
+    let at = bytes.len() - 8;
+    bytes[at] ^= 0xFF;
+    out.push(("torn trailer".into(), bytes));
+    let mut bytes = sample();
+    bytes.push(0);
+    out.push(("appended byte".into(), bytes));
+    let mut bytes = sample();
+    let table_offset = u64_le(&bytes, 16) as usize;
+    let end = bytes.len() as u64;
+    bytes[table_offset + 8..table_offset + 16].copy_from_slice(&end.to_le_bytes());
+    reseal(&mut bytes);
+    out.push(("escaping section".into(), bytes));
+    for fill in [0x00u8, 0xFF, 0x41] {
+        out.push((format!("fill {fill:#04x}"), vec![fill; 4096]));
+    }
+    let mut bytes = vec![0u8; 4096];
+    bytes[..8].copy_from_slice(&MAGIC);
+    bytes[8..10].copy_from_slice(&VERSION.to_le_bytes());
+    out.push(("magic then garbage".into(), bytes));
+    for kind in [SECTION_BESTS, SECTION_INSTANCES] {
+        let mut bytes = three_of_each();
+        let third = record_offsets(&bytes, kind)[2];
+        bytes[third + 8 + 2] ^= 0x01;
+        out.push((format!("third record of kind {kind}"), bytes));
+    }
+    let mut bytes = three_of_each();
+    let first = record_offsets(&bytes, SECTION_BESTS)[0];
+    bytes[first..first + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    reseal(&mut bytes);
+    out.push(("max-length frame".into(), bytes));
+    let mut bytes = sample();
+    let at = record_offsets(&bytes, SECTION_CHECKPOINTS)[0];
+    let len = u32_le(&bytes, at) as usize + 8;
+    bytes[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    let payload_len_at = at + 8 + 2 + u16_le(&bytes, at + 8) as usize;
+    let payload_len = u32_le(&bytes, payload_len_at) + 8;
+    bytes[payload_len_at..payload_len_at + 4].copy_from_slice(&payload_len.to_le_bytes());
+    let crc = Crc32::of(&bytes[at + 8..at + 8 + len]);
+    bytes[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
+    out.push(("overrunning checkpoint".into(), bytes));
+
+    // Value damage with valid CRCs: the record codecs must catch it. The
+    // second instance is "toy_2x2" (name 7 bytes, cells from 33).
+    let nan = f64::NAN.to_le_bytes();
+    for (label, kind, index, at, patch) in [
+        ("instance NaN cell", SECTION_INSTANCES, 1, 33, nan.to_vec()),
+        ("instance negative ready", SECTION_INSTANCES, 1, 17, (-1f64).to_le_bytes().to_vec()),
+        ("instance zero tasks", SECTION_INSTANCES, 1, 9, 0u32.to_le_bytes().to_vec()),
+        ("instance short name_len", SECTION_INSTANCES, 0, 0, 6u16.to_le_bytes().to_vec()),
+        ("instance non-UTF-8 name", SECTION_INSTANCES, 1, 2, vec![0xFF]),
+        ("best machine out of range", SECTION_BESTS, 0, 42 + 5, 9u32.to_le_bytes().to_vec()),
+        ("best zero machines", SECTION_BESTS, 0, 14 + 5, 0u32.to_le_bytes().to_vec()),
+        ("best NaN makespan", SECTION_BESTS, 0, 18 + 5, nan.to_vec()),
+        ("checkpoint payload_len", SECTION_CHECKPOINTS, 0, 4, 1u32.to_le_bytes().to_vec()),
+    ] {
+        let bytes = with_body_damage(sample(), kind, index, |body| {
+            body[at..at + patch.len()].copy_from_slice(&patch)
+        });
+        out.push((label.into(), bytes));
+    }
+    // A damaged best after a damaged instance: the instance error wins.
+    let bytes = with_body_damage(sample(), SECTION_BESTS, 0, |body| {
+        body[18 + 5..26 + 5].copy_from_slice(&nan)
+    });
+    let bytes =
+        with_body_damage(bytes, SECTION_INSTANCES, 1, |body| body[33..41].copy_from_slice(&nan));
+    out.push(("instance and best damaged".into(), bytes));
+    out
+}
+
+#[test]
+fn to_builder_errors_match_the_oracle() {
+    for (label, bytes) in damaged_images() {
+        let expected = oracle_merge(&bytes);
+        assert!(expected.is_err(), "{label}: the damage must fail the merge");
+        let got = drained(&bytes);
+        assert!(got == expected, "{label}: {:?} vs {:?}", got.err(), expected.err());
+    }
+}
