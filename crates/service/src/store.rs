@@ -20,6 +20,13 @@
 //! read, no text parse. A full scan (`bests`, `verify`, ...) is one seek
 //! per section followed by sequential reads.
 //!
+//! Writing: [`StoreBuilder`] holds each record as its encoded body.
+//! `add_*` encodes a new record; [`StoreReader::to_builder`] (the
+//! daemon's drain) validates each stored record and keeps its body
+//! bytes as they are, so a merge re-encodes nothing it read. One layout
+//! routine streams the image: [`StoreBuilder::write`] sends it straight
+//! into the atomic write, and [`StoreBuilder::encode`] into a `Vec`.
+//!
 //! Durability: files are written in one [`pa_cga_core::fsx`] atomic
 //! write (tmp + fsync + rename), so a crash mid-write leaves the old
 //! corpus or the new one, never a hybrid. Corruption of any byte is
@@ -29,10 +36,12 @@
 
 use crate::cache::CachedRun;
 use crate::protocol::Fnv1a;
-use etc_model::binary::{decode_instance, encode_instance};
+use etc_model::binary::{check_instance, decode_instance, encode_instance};
 use etc_model::EtcInstance;
 use pa_cga_core::checkpoint::Crc32;
-use std::io::{Read, Seek, SeekFrom};
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::Hash;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// File magic: `\x89` (catches 7-bit transports) + `PACST` + `\r\n`
@@ -245,13 +254,12 @@ fn encode_checkpoint(name: &str, payload: &[u8]) -> Result<Vec<u8>, StoreError> 
     Ok(out)
 }
 
-fn decode_checkpoint(body: &[u8]) -> Result<(String, Vec<u8>), StoreError> {
+fn decode_checkpoint(body: &[u8]) -> Result<(&str, &[u8]), StoreError> {
     let name_len = u16_at(body, 0, "checkpoint.name_len")? as usize;
     let name_end = 2usize.checked_add(name_len).ok_or(StoreError::Truncated("checkpoint.name"))?;
     let name_bytes = body.get(2..name_end).ok_or(StoreError::Truncated("checkpoint.name"))?;
     let name = std::str::from_utf8(name_bytes)
-        .map_err(|e| StoreError::Corrupt(format!("checkpoint name not UTF-8: {e}")))?
-        .to_string();
+        .map_err(|e| StoreError::Corrupt(format!("checkpoint name not UTF-8: {e}")))?;
     let payload_len = u32_at(body, name_end, "checkpoint.payload_len")? as usize;
     let payload_end = name_end
         .checked_add(4)
@@ -265,30 +273,80 @@ fn decode_checkpoint(body: &[u8]) -> Result<(String, Vec<u8>), StoreError> {
     }
     let payload =
         body.get(name_end + 4..payload_end).ok_or(StoreError::Truncated("checkpoint.payload"))?;
-    Ok((name, payload.to_vec()))
+    Ok((name, payload))
 }
 
 // ---------------------------------------------------------------------
 // Writer.
 // ---------------------------------------------------------------------
 
+/// One section's record bodies in first-seen key order, with a key →
+/// position map so replacing a record is one lookup, not a scan.
+#[derive(Default)]
+struct Records<K> {
+    list: Vec<(K, Vec<u8>)>,
+    slots: HashMap<K, usize>,
+}
+
+impl<K> Records<K> {
+    /// Section payload bytes: the count, then one frame per record.
+    fn payload_len(&self) -> u64 {
+        8 + self.list.iter().map(|(_, body)| 8 + body.len() as u64).sum::<u64>()
+    }
+
+    /// (index key, absolute frame offset) of every record, for a section
+    /// whose payload starts at `start`.
+    fn index_entries(&self, start: u64, key: impl Fn(&K) -> u64) -> Vec<(u64, u64)> {
+        let mut at = start + 8;
+        let mut entries = Vec::with_capacity(self.list.len());
+        for (k, body) in &self.list {
+            entries.push((key(k), at));
+            at += 8 + body.len() as u64;
+        }
+        entries
+    }
+
+    /// Writes the section payload: the count, then each body framed by
+    /// its length and CRC-32.
+    fn write_payload(&self, out: &mut dyn Write) -> std::io::Result<()> {
+        out.write_all(&(self.list.len() as u64).to_le_bytes())?;
+        for (_, body) in &self.list {
+            out.write_all(&(body.len() as u32).to_le_bytes())?;
+            out.write_all(&Crc32::of(body).to_le_bytes())?;
+            out.write_all(body)?;
+        }
+        Ok(())
+    }
+}
+
+/// Adds `body` under `key`, or replaces the body of the record already
+/// under `key` in its first-seen position.
+fn upsert<K: Clone + Eq + Hash>(records: &mut Records<K>, key: K, body: Vec<u8>) {
+    match records.slots.entry(key) {
+        Entry::Occupied(slot) => {
+            if let Some(record) = records.list.get_mut(*slot.get()) {
+                record.1 = body;
+            }
+        }
+        Entry::Vacant(slot) => {
+            records.list.push((slot.key().clone(), body));
+            slot.insert(records.list.len() - 1);
+        }
+    }
+}
+
 /// Accumulates records and serializes them into one `.pacst` file.
 ///
 /// Adding a record whose key (instance name / digest / checkpoint name)
-/// is already present **replaces** the earlier record, so merging an
-/// existing corpus with fresh results is load-into-builder + add + write.
+/// is already present **replaces** the earlier record in its position,
+/// so merging an existing corpus with fresh results is
+/// load-into-builder + add + write. The builder holds each record as its
+/// encoded body; only `add_*` encodes.
 #[derive(Default)]
 pub struct StoreBuilder {
-    instances: Vec<(String, Vec<u8>)>,
-    bests: Vec<(u64, Vec<u8>)>,
-    checkpoints: Vec<(String, Vec<u8>)>,
-}
-
-fn upsert<K: PartialEq>(list: &mut Vec<(K, Vec<u8>)>, key: K, body: Vec<u8>) {
-    match list.iter_mut().find(|(k, _)| *k == key) {
-        Some(slot) => slot.1 = body,
-        None => list.push((key, body)),
-    }
+    instances: Records<String>,
+    bests: Records<u64>,
+    checkpoints: Records<String>,
 }
 
 impl StoreBuilder {
@@ -324,69 +382,66 @@ impl StoreBuilder {
 
     /// Instance records staged.
     pub fn instance_count(&self) -> usize {
-        self.instances.len()
+        self.instances.list.len()
     }
 
     /// Best-schedule records staged.
     pub fn best_count(&self) -> usize {
-        self.bests.len()
+        self.bests.list.len()
     }
 
     /// Checkpoint records staged.
     pub fn checkpoint_count(&self) -> usize {
-        self.checkpoints.len()
+        self.checkpoints.list.len()
     }
 
     /// Serializes the full `.pacst` file image.
     pub fn encode(&self) -> Vec<u8> {
-        // Data sections first (record offsets are absolute, so lay them
-        // out as they will land in the file: header, then sections).
-        let mut sections: Vec<(u32, Vec<u8>)> = Vec::new();
-        let mut inst_entries: Vec<(u64, u64)> = Vec::new();
-        let mut best_entries: Vec<(u64, u64)> = Vec::new();
+        let mut out = Vec::new();
+        // Writing into a `Vec` cannot fail.
+        let _ = self.write_image(&mut out);
+        out
+    }
 
-        let mut cursor = HEADER_LEN as u64;
-        {
-            let mut payload = Vec::new();
-            payload.extend_from_slice(&(self.instances.len() as u64).to_le_bytes());
-            for (name, body) in &self.instances {
-                inst_entries.push((name_key(name), cursor + payload.len() as u64));
-                append_record(&mut payload, body);
-            }
-            cursor += payload.len() as u64;
-            sections.push((SECTION_INSTANCES, payload));
-        }
-        {
-            let mut payload = Vec::new();
-            payload.extend_from_slice(&(self.bests.len() as u64).to_le_bytes());
-            for (digest, body) in &self.bests {
-                best_entries.push((*digest, cursor + payload.len() as u64));
-                append_record(&mut payload, body);
-            }
-            cursor += payload.len() as u64;
-            sections.push((SECTION_BESTS, payload));
-        }
-        {
-            let mut payload = Vec::new();
-            payload.extend_from_slice(&(self.checkpoints.len() as u64).to_le_bytes());
-            for (_, body) in &self.checkpoints {
-                append_record(&mut payload, body);
-            }
-            cursor += payload.len() as u64;
-            sections.push((SECTION_CHECKPOINTS, payload));
-        }
-        for (kind, entries) in
-            [(SECTION_INSTANCE_INDEX, &inst_entries), (SECTION_BEST_INDEX, &best_entries)]
-        {
-            let payload = encode_index(entries);
-            cursor += payload.len() as u64;
-            sections.push((kind, payload));
-        }
+    /// Writes the store to `path` through the fsx atomic-write protocol
+    /// (tmp + fsync + rename): a crash leaves the old corpus or the new
+    /// one, never a torn hybrid. The image is streamed into the temp
+    /// file as it is laid out; no copy of it is held in memory.
+    pub fn write(&self, path: &Path) -> Result<(), StoreError> {
+        pa_cga_core::fsx::atomic_write_with(path, |out| self.write_image(out))?;
+        Ok(())
+    }
 
-        // Assemble: header | payloads | table | trailer.
-        let table_offset = cursor;
-        let table_len = sections.len() * SECTION_ENTRY_LEN;
-        let file_len = table_offset + table_len as u64 + TRAILER_LEN as u64;
+    /// The one layout routine behind [`encode`](Self::encode) and
+    /// [`write`](Self::write): header, the instance, best and checkpoint
+    /// sections, the two indexes, the section table and the trailer, in
+    /// file order. Every offset follows from the body lengths, so the
+    /// small parts are built first and each body is written once.
+    fn write_image(&self, out: &mut dyn Write) -> std::io::Result<()> {
+        let instances_at = HEADER_LEN as u64;
+        let bests_at = instances_at + self.instances.payload_len();
+        let instance_index =
+            encode_index(&self.instances.index_entries(instances_at, |n| name_key(n)));
+        let best_index = encode_index(&self.bests.index_entries(bests_at, |d| *d));
+        let sections = [
+            (SECTION_INSTANCES, self.instances.payload_len()),
+            (SECTION_BESTS, self.bests.payload_len()),
+            (SECTION_CHECKPOINTS, self.checkpoints.payload_len()),
+            (SECTION_INSTANCE_INDEX, instance_index.len() as u64),
+            (SECTION_BEST_INDEX, best_index.len() as u64),
+        ];
+
+        let mut table = Vec::with_capacity(sections.len() * SECTION_ENTRY_LEN);
+        let mut offset = HEADER_LEN as u64;
+        for (kind, len) in sections {
+            table.extend_from_slice(&kind.to_le_bytes());
+            table.extend_from_slice(&0u32.to_le_bytes()); // reserved
+            table.extend_from_slice(&offset.to_le_bytes());
+            table.extend_from_slice(&len.to_le_bytes());
+            offset += len;
+        }
+        let table_offset = offset;
+        let file_len = table_offset + table.len() as u64 + TRAILER_LEN as u64;
 
         let mut header = Vec::with_capacity(HEADER_LEN);
         header.extend_from_slice(&MAGIC);
@@ -396,41 +451,17 @@ impl StoreBuilder {
         header.extend_from_slice(&table_offset.to_le_bytes());
         header.extend_from_slice(&file_len.to_le_bytes());
 
-        let mut table = Vec::with_capacity(table_len);
-        let mut offset = HEADER_LEN as u64;
-        for (kind, payload) in &sections {
-            table.extend_from_slice(&kind.to_le_bytes());
-            table.extend_from_slice(&0u32.to_le_bytes()); // reserved
-            table.extend_from_slice(&offset.to_le_bytes());
-            table.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            offset += payload.len() as u64;
-        }
-
-        let mut out = Vec::with_capacity(file_len as usize);
-        out.extend_from_slice(&header);
-        for (_, payload) in &sections {
-            out.extend_from_slice(payload);
-        }
-        out.extend_from_slice(&table);
-        out.extend_from_slice(&Crc32::of(&header).to_le_bytes());
-        out.extend_from_slice(&Crc32::of(&table).to_le_bytes());
-        out.extend_from_slice(&END_MAGIC);
-        out
+        out.write_all(&header)?;
+        self.instances.write_payload(out)?;
+        self.bests.write_payload(out)?;
+        self.checkpoints.write_payload(out)?;
+        out.write_all(&instance_index)?;
+        out.write_all(&best_index)?;
+        out.write_all(&table)?;
+        out.write_all(&Crc32::of(&header).to_le_bytes())?;
+        out.write_all(&Crc32::of(&table).to_le_bytes())?;
+        out.write_all(&END_MAGIC)
     }
-
-    /// Writes the store to `path` through the fsx atomic-write protocol
-    /// (tmp + fsync + rename): a crash leaves the old corpus or the new
-    /// one, never a torn hybrid.
-    pub fn write(&self, path: &Path) -> Result<(), StoreError> {
-        pa_cga_core::fsx::atomic_write(path, &self.encode())?;
-        Ok(())
-    }
-}
-
-fn append_record(payload: &mut Vec<u8>, body: &[u8]) {
-    payload.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    payload.extend_from_slice(&Crc32::of(body).to_le_bytes());
-    payload.extend_from_slice(body);
 }
 
 /// Open-addressed index: `bucket_count` u64, then `bucket_count` pairs
@@ -850,7 +881,8 @@ impl<R: Read + Seek> StoreReader<R> {
         let mut out = Vec::new();
         let count = self.checkpoint_count;
         self.walk_records(SECTION_CHECKPOINTS, count, "checkpoint record", |body| {
-            out.push(decode_checkpoint(body)?);
+            let (name, payload) = decode_checkpoint(body)?;
+            out.push((name.to_string(), payload.to_vec()));
             Ok(())
         })?;
         Ok(out)
@@ -902,17 +934,36 @@ impl<R: Read + Seek> StoreReader<R> {
 
     /// Loads the whole store back into a [`StoreBuilder`] for merging
     /// (the daemon's drain path: load, upsert fresh results, rewrite).
+    ///
+    /// Each record is CRC-checked and validated exactly as
+    /// [`instances`](Self::instances), [`bests`](Self::bests) and
+    /// [`checkpoints`](Self::checkpoints) would, with the same errors in
+    /// the same order, and then its body is kept byte for byte under its
+    /// key: nothing is decoded into an instance or re-encoded. Every
+    /// record codec checks the exact body length, so an encoding is
+    /// canonical and the builder's image equals a decode-and-re-add
+    /// merge of the same store.
     pub fn to_builder(&mut self) -> Result<StoreBuilder, StoreError> {
         let mut builder = StoreBuilder::new();
-        for instance in self.instances()? {
-            builder.add_instance(&instance)?;
-        }
-        for (digest, run) in self.bests()? {
-            builder.add_best(digest, &run)?;
-        }
-        for (name, payload) in self.checkpoints()? {
-            builder.add_checkpoint(&name, &payload)?;
-        }
+        let count = self.instance_count;
+        self.walk_records(SECTION_INSTANCES, count, "instance record", |body| {
+            let name = check_instance(body)
+                .map_err(|e| StoreError::Corrupt(format!("instance record: {e}")))?;
+            upsert(&mut builder.instances, name.to_string(), body.to_vec());
+            Ok(())
+        })?;
+        let count = self.best_count;
+        self.walk_records(SECTION_BESTS, count, "best record", |body| {
+            let (digest, _) = decode_best(body)?;
+            upsert(&mut builder.bests, digest, body.to_vec());
+            Ok(())
+        })?;
+        let count = self.checkpoint_count;
+        self.walk_records(SECTION_CHECKPOINTS, count, "checkpoint record", |body| {
+            let (name, _) = decode_checkpoint(body)?;
+            upsert(&mut builder.checkpoints, name.to_string(), body.to_vec());
+            Ok(())
+        })?;
         Ok(builder)
     }
 }
@@ -1035,6 +1086,26 @@ mod tests {
         expected.add_checkpoint("x", b"three").unwrap();
         expected.add_checkpoint("y", b"two").unwrap();
         assert!(b.encode() == expected.encode());
+    }
+
+    #[test]
+    fn overflowing_instance_dimensions_are_corrupt_on_every_path() {
+        // A record with a valid CRC whose dims (2^31 × 2^30) overflow the
+        // payload length: every read path types it, none panics.
+        let mut body = encode_instance(&EtcInstance::toy(3, 2)).unwrap();
+        body.get_mut(9..13).unwrap().copy_from_slice(&(1u32 << 31).to_le_bytes());
+        body.get_mut(13..17).unwrap().copy_from_slice(&(1u32 << 30).to_le_bytes());
+        let mut b = StoreBuilder::new();
+        upsert(&mut b.instances, "toy_3x2".to_string(), body);
+        let mut r = StoreReader::open(Cursor::new(b.encode())).unwrap();
+        let corrupt = |e: StoreError| match e {
+            StoreError::Corrupt(m) => assert!(m.contains("overflows"), "{m}"),
+            other => panic!("expected Corrupt, got {other}"),
+        };
+        corrupt(r.get_instance("toy_3x2").unwrap_err());
+        corrupt(r.instances().unwrap_err());
+        corrupt(r.verify().unwrap_err());
+        corrupt(r.to_builder().err().unwrap());
     }
 
     #[test]
