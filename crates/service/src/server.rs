@@ -1028,6 +1028,82 @@ mod tests {
     }
 
     #[test]
+    fn drain_carries_stored_records_through() {
+        use crate::client::Client;
+        use crate::json::Json;
+        use crate::store::{SECTION_CHECKPOINTS, SECTION_INSTANCES};
+
+        let dir = std::env::temp_dir().join(format!("pacga-drain-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let corpus = dir.join("d.pacst");
+        let mut input = StoreBuilder::new();
+        input.add_instance(&EtcInstance::toy(6, 3)).unwrap();
+        input.add_instance(&EtcInstance::toy(4, 2)).unwrap();
+        input.add_checkpoint("job-1", b"pacga-checkpoint v2 opaque payload").unwrap();
+        for tag in 0..3u32 {
+            let run = CachedRun {
+                instance: format!("archived-{tag}"),
+                n_tasks: 4,
+                n_machines: 2,
+                makespan: 10.0 + f64::from(tag),
+                evaluations: 100,
+                engine_ms: 0.5,
+                assignment: vec![tag % 2, 1, 0, 1],
+            };
+            input.add_best(0x5EED_0000 + u64::from(tag), &run).unwrap();
+        }
+        input.write(&corpus).unwrap();
+        let before = std::fs::read(&corpus).unwrap();
+
+        let handle = local(ServeConfig {
+            corpus: Some(corpus.to_string_lossy().into_owned()),
+            ..ServeConfig::default()
+        });
+        let mut client = Client::connect(handle.addr()).unwrap();
+        let line =
+            r#"{"type":"schedule","etc":[[1,2],[2,1],[3,1]],"evals":400,"seed":11,"threads":1}"#;
+        let reply = client.request(&Json::parse(line).unwrap()).unwrap();
+        assert_eq!(reply.get("cached").and_then(Json::as_bool), Some(false), "{reply:?}");
+        client.shutdown().unwrap();
+        assert_eq!(handle.join().persisted, 4, "three archived bests and the miss");
+        let after = std::fs::read(&corpus).unwrap();
+
+        // The oracle: the input scanned and re-added, then the cache's
+        // entries upserted in digest order, as the drain does.
+        let mut r = StoreReader::open(std::io::Cursor::new(before.clone())).unwrap();
+        let mut oracle = StoreBuilder::new();
+        for instance in r.instances().unwrap() {
+            oracle.add_instance(&instance).unwrap();
+        }
+        for (digest, run) in r.bests().unwrap() {
+            oracle.add_best(digest, &run).unwrap();
+        }
+        for (name, payload) in r.checkpoints().unwrap() {
+            oracle.add_checkpoint(&name, &payload).unwrap();
+        }
+        let mut drained = StoreReader::open(std::io::Cursor::new(after.clone())).unwrap();
+        let mut cached = drained.bests().unwrap();
+        cached.sort_by_key(|(d, _)| *d);
+        let fresh: Vec<_> = cached.iter().filter(|(d, _)| d >> 16 != 0x5EED).collect();
+        assert_eq!(fresh.len(), 1, "one new best");
+        assert_eq!(reply.get("makespan").and_then(Json::as_f64), Some(fresh[0].1.makespan));
+        for (digest, run) in &cached {
+            oracle.add_best(*digest, run).unwrap();
+        }
+        assert!(after == oracle.encode(), "drained file differs from the oracle merge");
+
+        let section = |bytes: &[u8], kind: u32| {
+            let r = StoreReader::open(std::io::Cursor::new(bytes.to_vec())).unwrap();
+            let s = *r.sections().iter().find(|s| s.kind == kind).unwrap();
+            bytes[s.offset as usize..(s.offset + s.len) as usize].to_vec()
+        };
+        for kind in [SECTION_INSTANCES, SECTION_CHECKPOINTS] {
+            assert!(section(&before, kind) == section(&after, kind), "section {kind} changed");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn corrupt_corpus_fails_boot_loudly() {
         let dir = std::env::temp_dir().join(format!("pacga-badcorpus-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

@@ -59,12 +59,16 @@
 #            storm, fixed seed), recovery latency percentiles must be
 #            reported, the daemon must drain cleanly, and the
 #            SIGKILL-mid-session resume test rides along time-boxed
-#   6d corpus persistent-store gate: `pacga corpus build` pregenerates a
-#            .pacst store (FORMAT.md), a daemon booted with --corpus
-#            answers a request cold, drains (persisting the cache), and
-#            a *second* daemon on the same store must answer the same
+#   6d corpus persistent-store gate: `pacga corpus build --braun
+#            --large` pregenerates a .pacst store (FORMAT.md) of the 12
+#            Braun and three 4096x64 instances, a daemon booted with
+#            --corpus answers a request cold, drains (carrying every
+#            stored record through and persisting the cache), and a
+#            *second* daemon on the same store must answer the same
 #            digest cached:true on its very first request; `pacga
-#            corpus verify` then re-checks every record CRC and index
+#            corpus verify` then re-checks every record CRC and index,
+#            and the `corpus ls` instance lines must be identical before
+#            and after the two daemons
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -476,12 +480,15 @@ begin "6d:corpus" "corpus store: build → warm-restart cache hit → verify"
 CORPUS_DIR="$(mktemp -d)"
 CORPUS="$CORPUS_DIR/ci.pacst"
 
-BUILD_OUT="$("$PACGA" corpus build --braun --out "$CORPUS")"
+BUILD_OUT="$("$PACGA" corpus build --braun --large --out "$CORPUS")"
 echo "$BUILD_OUT"
-grep -q "wrote 12 instance(s)" <<<"$BUILD_OUT" \
-  || { echo "corpus gate: build did not report the Braun grid" >&2; exit 1; }
-"$PACGA" corpus ls --corpus "$CORPUS" | grep -q "u_c_hihi.0" \
+grep -q "wrote 15 instance(s)" <<<"$BUILD_OUT" \
+  || { echo "corpus gate: build did not report the Braun grid and large classes" >&2; exit 1; }
+INST_BEFORE="$("$PACGA" corpus ls --corpus "$CORPUS" | grep '^  inst ')"
+grep -q "u_c_hihi.0" <<<"$INST_BEFORE" \
   || { echo "corpus gate: ls missing a Braun instance" >&2; exit 1; }
+grep -q "l_i_hihi.4096x64 *4096x64" <<<"$INST_BEFORE" \
+  || { echo "corpus gate: ls missing a 4096x64 instance" >&2; exit 1; }
 
 # One JSON-lines exchange over raw TCP: send a request, read one reply.
 corpus_rpc() {
@@ -546,8 +553,11 @@ VERIFY_OUT="$("$PACGA" corpus verify --corpus "$CORPUS")"
 echo "$VERIFY_OUT"
 grep -q "OK" <<<"$VERIFY_OUT" \
   || { echo "corpus gate: verify failed after daemon rewrites" >&2; exit 1; }
-"$PACGA" corpus ls --corpus "$CORPUS" | grep -q "1 best record(s)" \
+LS_AFTER="$("$PACGA" corpus ls --corpus "$CORPUS")"
+grep -q "1 best record(s)" <<<"$LS_AFTER" \
   || { echo "corpus gate: persisted best record missing from ls" >&2; exit 1; }
+[[ "$(grep '^  inst ' <<<"$LS_AFTER")" == "$INST_BEFORE" ]] \
+  || { echo "corpus gate: the drains changed the instance records" >&2; exit 1; }
 rm -rf "$CORPUS_DIR"
 finish
 
