@@ -820,13 +820,14 @@ impl<R: Read + Seek> StoreReader<R> {
 
     /// Visits the `count` records of section `kind` in file order: one
     /// seek to the first frame, then sequential reads into one reused
-    /// body buffer, every record CRC-checked.
+    /// body buffer, every record CRC-checked. `f` may take the buffer to
+    /// keep a body; the next record is then read into a fresh one.
     fn walk_records(
         &mut self,
         kind: u32,
         count: u64,
         what: &'static str,
-        mut f: impl FnMut(&[u8]) -> Result<(), StoreError>,
+        mut f: impl FnMut(&mut Vec<u8>) -> Result<(), StoreError>,
     ) -> Result<(), StoreError> {
         let Some(s) = self.section(kind) else { return Ok(()) };
         let mut offset = s.offset + 8;
@@ -838,8 +839,8 @@ impl<R: Read + Seek> StoreReader<R> {
                 return Err(StoreError::Truncated(what));
             }
             self.read_frame(offset, &mut body, what)?;
-            f(&body)?;
             offset += 8 + body.len() as u64;
+            f(&mut body)?;
         }
         if offset != end {
             return Err(StoreError::Corrupt(if offset < end {
@@ -949,19 +950,21 @@ impl<R: Read + Seek> StoreReader<R> {
         self.walk_records(SECTION_INSTANCES, count, "instance record", |body| {
             let name = check_instance(body)
                 .map_err(|e| StoreError::Corrupt(format!("instance record: {e}")))?;
-            upsert(&mut builder.instances, name.to_string(), body.to_vec());
+            let name = name.to_string();
+            upsert(&mut builder.instances, name, std::mem::take(body));
             Ok(())
         })?;
         let count = self.best_count;
         self.walk_records(SECTION_BESTS, count, "best record", |body| {
             let (digest, _) = decode_best(body)?;
-            upsert(&mut builder.bests, digest, body.to_vec());
+            upsert(&mut builder.bests, digest, std::mem::take(body));
             Ok(())
         })?;
         let count = self.checkpoint_count;
         self.walk_records(SECTION_CHECKPOINTS, count, "checkpoint record", |body| {
             let (name, _) = decode_checkpoint(body)?;
-            upsert(&mut builder.checkpoints, name.to_string(), body.to_vec());
+            let name = name.to_string();
+            upsert(&mut builder.checkpoints, name, std::mem::take(body));
             Ok(())
         })?;
         Ok(builder)
