@@ -38,7 +38,7 @@ pub mod io;
 pub mod matrix;
 pub mod ranges;
 
-pub use binary::{check_instance, decode_instance, encode_instance, BinError};
+pub use binary::{decode_instance, encode_instance, BinError};
 pub use blazewicz::blazewicz_notation;
 pub use braun::{
     braun_instance, braun_instance_any, braun_instance_names, braun_registry, parse_braun_name,
