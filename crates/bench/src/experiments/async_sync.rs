@@ -40,11 +40,6 @@ pub fn run(budget: &Budget) -> String {
     out
 }
 
-/// Back-compat wrapper at the paper's 10 H2LL iterations.
-pub fn run_with_evals(budget: &Budget, evaluations: u64) -> String {
-    run_with_evals_ls(budget, evaluations, 10)
-}
-
 /// One comparison at an explicit per-run evaluation budget and H2LL depth.
 /// Returns (and does not print) the rendered block.
 pub fn run_with_evals_ls(budget: &Budget, evaluations: u64, ls: usize) -> String {

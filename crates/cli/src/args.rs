@@ -96,7 +96,6 @@ impl Args {
     }
 
     /// Required string flag.
-    #[allow(dead_code)] // exercised in tests; kept for future subcommands
     pub fn require(&self, flag: &str) -> Result<&str, ArgError> {
         self.get(flag).ok_or_else(|| ArgError::Missing(flag.to_string()))
     }
@@ -119,7 +118,6 @@ impl Args {
     }
 
     /// Boolean flag (present without value, or `true`/`false`).
-    #[allow(dead_code)] // exercised in tests; kept for future subcommands
     pub fn get_bool(&self, flag: &str) -> Result<bool, ArgError> {
         self.get_parse(flag, false, "bool")
     }

@@ -12,7 +12,7 @@
 //!
 //! Cost discipline: with no hooks installed the evolution kernel pays one
 //! branch per block sweep — nothing per cell, nothing per evaluation — so
-//! the hot path stays inside the `bench_check.sh` perf gate.
+//! the hot path stays inside perfbench braun-batch's `evals_per_s` bound.
 
 use crate::individual::Individual;
 use std::sync::atomic::{AtomicBool, Ordering};

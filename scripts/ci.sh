@@ -4,7 +4,9 @@
 #   scripts/ci.sh                    # all stages
 #   scripts/ci.sh --fast             # inner-loop gate: stages 0-3 only
 #                                    # (2c miri, 2d repeat and 2e
-#                                    # perfbench skipped)
+#                                    # perfbench tests skipped; so are
+#                                    # 4-6d, the perfbench gate and the
+#                                    # CLI/daemon smokes)
 #   scripts/ci.sh --self-test-audit  # prove the audit gate can fail:
 #                                    # seed a violation, expect exit != 0
 #
@@ -12,8 +14,8 @@
 # table at the end):
 #   0 fmt    cargo fmt --check (soft-skip with a notice when the
 #            rustfmt component is unavailable in the build container)
-#   1 build  cargo build --release (every crate, every target — benches
-#            and experiment binaries must at least compile)
+#   1 build  cargo build --release (every crate, every target — the
+#            experiment binaries must at least compile)
 #   1b audit pacga-audit, the in-tree invariant analyzer (DESIGN.md §11):
 #            rules A1-A6 over crates/, src/ and tests/, hard fail on any
 #            violation; the stage first self-tests by seeding A2 and A6
@@ -41,9 +43,16 @@
 #            API change that breaks the benchmark fails here (skipped
 #            under --fast)
 #   3 doc    cargo doc --no-deps with warnings denied (doc rot fails fast)
-#   4 bench  bench smoke (every criterion bench body runs once) plus the
-#            perf-regression gate: scripts/bench_check.sh --self-test,
-#            then the committed BENCH_*.json trajectory comparison
+#   4 bench  perfbench gate (perfbench/README.md): each of the three
+#            workloads runs once at a fixed seed for 1 s from a temp
+#            directory and must exit 0 with a result line that reads
+#            "correct": true and "failed": 0; serve-mix and stream-storm
+#            run again at the same seed, and since both engines run at 1
+#            thread there, the second run must repeat the first's input
+#            digest line and full-precision makespan_ratio (and, for
+#            stream-storm, warm wins / losses and the recovery_evals
+#            sum); the stage first self-tests by feeding the verdict
+#            synthetic bad result lines and requiring each is rejected
 #   5 sweep  `pacga sweep` end-to-end through the portfolio runner
 #   6 serve  `pacga serve` boots, `pacga bench-serve` hammers it over
 #            loopback (deterministic seed), req/s and cache-hit lines are
@@ -112,11 +121,105 @@ audit_self_test() {
   echo "audit self-test: seeded A2 and A6 violations detected, exit non-zero, report well-formed"
 }
 
+# Stage 4 runs every perfbench workload at this seed for this many
+# seconds (perfbench's own minimum sizes still apply).
+PERF_SEED=1
+PERF_SECONDS=1
+
+# The answers a 1-thread perfbench run fixes for its seed: the input
+# digest line, the full-precision makespan_ratio and, for stream-storm,
+# the warm-start ledger. Fails when one of them is missing.
+perf_answers() {
+  local run="$1"
+  grep '^  inputs: .* digest ' <<<"$run" || return 1
+  tail -n 1 <<<"$run" | grep -o '"makespan_ratio": {"value": [^,}]*' || return 1
+  if grep -q '^workload stream-storm' <<<"$run"; then
+    grep -o 'warm wins [0-9]* / losses [0-9]*, recovery_evals sum [0-9]*' <<<"$run" || return 1
+  fi
+}
+
+# Stage 4's verdict over perfbench stdout. Each run given must end in a
+# result line that reads "correct": true and "failed": 0; two runs of
+# one seed must also agree on every answer in perf_answers.
+perf_verdict() {
+  local run last first second
+  for run in "$@"; do
+    last="$(tail -n 1 <<<"$run")"
+    grep -q '"correct": true' <<<"$last" && grep -Eq '"failed": 0[,}]' <<<"$last" || {
+      echo "perfbench gate: result line not correct or not failure-free: $last" >&2
+      return 1
+    }
+  done
+  [[ $# == 2 ]] || return 0
+  first="$(perf_answers "$1")" && second="$(perf_answers "$2")" || {
+    echo "perfbench gate: a run lacks its input digest, makespan_ratio or stream ledger" >&2
+    return 1
+  }
+  [[ "$first" == "$second" ]] || {
+    echo "perfbench gate: two runs of seed $PERF_SEED disagree:" >&2
+    diff <(echo "$first") <(echo "$second") >&2 || true
+    return 1
+  }
+}
+
+# Feeds perf_verdict synthetic stream-storm output and requires it to
+# reject each bad run or pair and accept a good pair — a gate that
+# cannot fail gates nothing.
+perf_self_test() {
+  local good bad
+  good='workload stream-storm
+  inputs: 512x16 session, grid 8x8, 10000 evals/event, ls 5, 100 mixed-storm events, digest 0123456789abcdef
+  events p50 9.5 ms p90 12.0 ms (n=100), warm wins 61 / losses 39, recovery_evals sum 456789
+{"correct": true, "attempted": 100, "failed": 0, "metrics": {"setup_s": {"value": 0.1, "unit": "s"}, "makespan_ratio": {"value": 0.8123456789012345, "unit": "ratio"}}}'
+  perf_verdict "$good" "$good" || {
+    echo "perf self-test: a good pair was rejected" >&2
+    return 1
+  }
+  for bad in "${good/'"correct": true'/'"correct": false'}" "${good/'"failed": 0'/'"failed": 1'}"; do
+    if perf_verdict "$bad" 2>/dev/null; then
+      echo "perf self-test: accepted a bad result line: $(tail -n 1 <<<"$bad")" >&2
+      return 1
+    fi
+  done
+  for bad in "${good/0.8123456789012345/0.8123456789012346}" "${good/wins 61 \/ losses 39/wins 60 \/ losses 40}"; do
+    if perf_verdict "$good" "$bad" 2>/dev/null; then
+      echo "perf self-test: accepted two runs of one seed that disagree" >&2
+      return 1
+    fi
+  done
+  echo "perf self-test: bad result lines and disagreeing repeats rejected, a good pair accepted"
+}
+
 if [[ "$SELF_TEST_AUDIT" == 1 ]]; then
   cargo build --release -q -p pacga_audit
   audit_self_test
   exit 0
 fi
+
+PACGA="target/release/pacga"
+
+# Boots `pacga serve --addr 127.0.0.1:0 --workers 2 <serve args…>`
+# logging to $SERVE_LOG, and waits for it to announce its address in
+# SERVE_ADDR. Port 0: the daemon announces its actual address, so two
+# CI runs on one host (or a leftover daemon) can never collide — or
+# worse, have a client drive and drain a foreign daemon on a fixed
+# port. The first argument prefixes the failure message.
+boot_daemon() {
+  local what="$1"
+  shift
+  "$PACGA" serve --addr 127.0.0.1:0 --workers 2 "$@" >"$SERVE_LOG" 2>&1 &
+  SERVE_PID=$!
+  SERVE_ADDR=""
+  for _ in $(seq 1 100); do
+    SERVE_ADDR="$(sed -n 's/^pacga serve: listening on \([0-9.:]*\) .*/\1/p' "$SERVE_LOG")"
+    [[ -n "$SERVE_ADDR" ]] && return 0
+    kill -0 "$SERVE_PID" 2>/dev/null || break
+    sleep 0.1
+  done
+  echo "$what: daemon never announced its address" >&2
+  cat "$SERVE_LOG" >&2
+  return 1
+}
 
 SUMMARY=()
 CURRENT=""
@@ -285,17 +388,32 @@ if [[ "$FAST" == 1 ]]; then
   exit 0
 fi
 
-begin "4:bench" "bench smoke + perf-regression gate"
-scripts/bench_baseline.sh --smoke
-# Surface the committed scaling numbers next to the smoke result so a
-# stale/odd speedup_vs_t1 section is spotted without opening the JSON.
-latest_bench="$(ls BENCH_*.json 2>/dev/null | sort -V | tail -1 || true)"
-if [[ -n "$latest_bench" ]] && grep -q '"speedup_vs_t1"' "$latest_bench"; then
-  echo "==> recorded speedup_vs_t1 ($latest_bench):"
-  sed -n '/"speedup_vs_t1"/,/}/p' "$latest_bench"
-fi
-scripts/bench_check.sh --self-test
-scripts/bench_check.sh
+begin "4:bench" "perfbench gate: every answer checked, 1-thread answers repeat"
+perf_self_test
+PERF_DIR="$(mktemp -d)"
+PERF_MANIFEST="$PWD/perfbench/Cargo.toml"
+# perfbench keeps its per-run state under the directory it starts in.
+perf_run() {
+  (cd "$PERF_DIR" && cargo run --release --offline --quiet --manifest-path "$PERF_MANIFEST" -- \
+    --workload "$1" --seed "$PERF_SEED" --seconds "$PERF_SECONDS" --trace 0) || {
+    local rc=$?
+    echo "perfbench gate: $1 exited $rc" >&2
+    return "$rc"
+  }
+}
+for workload in braun-batch serve-mix stream-storm; do
+  first="$(perf_run "$workload")" || { echo "$first"; false; }
+  echo "$first"
+  perf_verdict "$first"
+  # braun-batch runs 2 threads against wall time, so only the 1-thread
+  # workloads must repeat their answers.
+  if [[ "$workload" != braun-batch ]]; then
+    again="$(perf_run "$workload")" || { echo "$again"; false; }
+    perf_verdict "$first" "$again"
+    echo "==> $workload at seed $PERF_SEED repeated its input digest, makespan_ratio and ledger"
+  fi
+done
+rm -rf "$PERF_DIR"
 finish
 
 begin "5:sweep" "pacga sweep smoke (portfolio runner end-to-end)"
@@ -305,25 +423,8 @@ grep -q "runs/s" <<<"$SWEEP_OUT" || { echo "sweep smoke produced no throughput l
 finish
 
 begin "6:serve" "pacga serve + bench-serve load smoke"
-PACGA="target/release/pacga"
 SERVE_LOG="$(mktemp)"
-# Port 0: the daemon announces its actual address, so two CI runs on
-# one host (or a leftover daemon) can never collide — or worse, have
-# bench-serve drive and drain a foreign daemon on a fixed port.
-"$PACGA" serve --addr 127.0.0.1:0 --workers 2 >"$SERVE_LOG" 2>&1 &
-SERVE_PID=$!
-SERVE_ADDR=""
-for _ in $(seq 1 100); do
-  SERVE_ADDR="$(sed -n 's/^pacga serve: listening on \([0-9.:]*\) .*/\1/p' "$SERVE_LOG")"
-  [[ -n "$SERVE_ADDR" ]] && break
-  kill -0 "$SERVE_PID" 2>/dev/null || break
-  sleep 0.1
-done
-[[ -n "$SERVE_ADDR" ]] || {
-  echo "serve smoke: daemon never announced its address" >&2
-  cat "$SERVE_LOG" >&2
-  exit 1
-}
+boot_daemon "serve smoke"
 echo "==> daemon listening on $SERVE_ADDR"
 # bench-serve retries the connection internally while the daemon boots.
 BENCH_OUT="$("$PACGA" bench-serve --addr "$SERVE_ADDR" --clients 3 --requests 8 \
@@ -360,21 +461,7 @@ timeout 300 cargo test -q -p pa-cga-cli --test job_kill_resume
 # start → status → stop → (poll to stopped) → archive.
 JOBS_DIR="$(mktemp -d)"
 SERVE_LOG="$(mktemp)"
-"$PACGA" serve --addr 127.0.0.1:0 --workers 2 \
-  --data-dir "$JOBS_DIR" --checkpoint-gens 10 >"$SERVE_LOG" 2>&1 &
-SERVE_PID=$!
-SERVE_ADDR=""
-for _ in $(seq 1 100); do
-  SERVE_ADDR="$(sed -n 's/^pacga serve: listening on \([0-9.:]*\) .*/\1/p' "$SERVE_LOG")"
-  [[ -n "$SERVE_ADDR" ]] && break
-  kill -0 "$SERVE_PID" 2>/dev/null || break
-  sleep 0.1
-done
-[[ -n "$SERVE_ADDR" ]] || {
-  echo "jobs smoke: daemon never announced its address" >&2
-  cat "$SERVE_LOG" >&2
-  exit 1
-}
+boot_daemon "jobs smoke" --data-dir "$JOBS_DIR" --checkpoint-gens 10
 echo "==> jobs daemon listening on $SERVE_ADDR (data-dir $JOBS_DIR)"
 
 # A budget far too large to finish on its own: stop must end it.
@@ -427,21 +514,7 @@ timeout 300 cargo test -q -p pa-cga-cli --test stream_kill_resume
 
 CHAOS_DIR="$(mktemp -d)"
 SERVE_LOG="$(mktemp)"
-"$PACGA" serve --addr 127.0.0.1:0 --workers 2 \
-  --data-dir "$CHAOS_DIR" >"$SERVE_LOG" 2>&1 &
-SERVE_PID=$!
-SERVE_ADDR=""
-for _ in $(seq 1 100); do
-  SERVE_ADDR="$(sed -n 's/^pacga serve: listening on \([0-9.:]*\) .*/\1/p' "$SERVE_LOG")"
-  [[ -n "$SERVE_ADDR" ]] && break
-  kill -0 "$SERVE_PID" 2>/dev/null || break
-  sleep 0.1
-done
-[[ -n "$SERVE_ADDR" ]] || {
-  echo "chaos gate: daemon never announced its address" >&2
-  cat "$SERVE_LOG" >&2
-  exit 1
-}
+boot_daemon "chaos gate" --data-dir "$CHAOS_DIR"
 echo "==> chaos daemon listening on $SERVE_ADDR (data-dir $CHAOS_DIR)"
 
 # Leg 1 — the acceptance storm: a failure-dominated burst script with a
@@ -500,29 +573,11 @@ corpus_rpc() {
   printf '%s' "$resp"
 }
 
-boot_corpus_daemon() {
-  "$PACGA" serve --addr 127.0.0.1:0 --workers 2 --corpus "$CORPUS" \
-    >"$SERVE_LOG" 2>&1 &
-  SERVE_PID=$!
-  SERVE_ADDR=""
-  for _ in $(seq 1 100); do
-    SERVE_ADDR="$(sed -n 's/^pacga serve: listening on \([0-9.:]*\) .*/\1/p' "$SERVE_LOG")"
-    [[ -n "$SERVE_ADDR" ]] && break
-    kill -0 "$SERVE_PID" 2>/dev/null || break
-    sleep 0.1
-  done
-  [[ -n "$SERVE_ADDR" ]] || {
-    echo "corpus gate: daemon never announced its address" >&2
-    cat "$SERVE_LOG" >&2
-    exit 1
-  }
-}
-
 REQ='{"type":"schedule","etc":[[1,2],[2,1],[3,1]],"evals":400,"seed":11,"threads":1}'
 
 # Daemon 1: cold — the store holds instances but no best record yet.
 SERVE_LOG="$(mktemp)"
-boot_corpus_daemon
+boot_daemon "corpus gate" --corpus "$CORPUS"
 echo "==> corpus daemon 1 listening on $SERVE_ADDR"
 RESP="$(corpus_rpc "$REQ")"
 echo "cold: $RESP"
@@ -538,7 +593,7 @@ rm -f "$SERVE_LOG"
 # Daemon 2: a fresh process on the same store. The very first request
 # after the cold restart must be a cache hit — the tentpole's promise.
 SERVE_LOG="$(mktemp)"
-boot_corpus_daemon
+boot_daemon "corpus gate" --corpus "$CORPUS"
 echo "==> corpus daemon 2 listening on $SERVE_ADDR"
 RESP="$(corpus_rpc "$REQ")"
 echo "warm: $RESP"

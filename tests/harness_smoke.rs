@@ -53,7 +53,7 @@ fn fig5_smoke() {
 fn async_sync_smoke() {
     // Shrink the per-run evaluation budget so this runs in CI time.
     let b = Budget { time_ms: 10, runs: 2, max_threads: 1, gens: None };
-    let out = experiments::async_sync::run_with_evals(&b, 2_000);
+    let out = experiments::async_sync::run_with_evals_ls(&b, 2_000, 10);
     assert!(out.contains("asynchronous"));
     assert!(out.contains("synchronous"));
     assert!(out.contains("Mann-Whitney"));
