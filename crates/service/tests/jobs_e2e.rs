@@ -236,3 +236,125 @@ fn archive_refuses_live_jobs_and_unknown_jobs_error() {
     handle.join();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A job's `manifest.json` in the live jobs dir.
+fn manifest(dir: &std::path::Path, job: &str) -> Json {
+    let path = dir.join("jobs").join(job).join("manifest.json");
+    Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap()
+}
+
+fn field_u64(v: &Json, key: &str) -> u64 {
+    v.get(key).and_then(Json::as_u64).unwrap_or_else(|| panic!("no {key:?} in {v}"))
+}
+
+#[test]
+fn fresh_start_after_lost_checkpoints_persists_the_counters_it_reports() {
+    let dir = data_dir("lost-checkpoints");
+
+    // First incarnation: no checkpoint lands on its own; the drain
+    // writes the only one, with the generations run so far.
+    let first = spawn(&dir, 1_000_000);
+    let mut client = Client::connect(first.addr()).unwrap();
+    let started = request(&mut client, &job_start_line("fresh-1", 50_000_000, 1_000_000));
+    assert_eq!(started.get("type").unwrap().as_str(), Some("job"), "{started}");
+    wait_for_state(&mut client, "fresh-1", "running");
+    std::thread::sleep(Duration::from_millis(200));
+    drop(client);
+    first.shutdown();
+    first.join();
+    let parked = manifest(&dir, "fresh-1");
+    assert_eq!(parked.get("state").and_then(Json::as_str), Some("checkpointed"), "{parked}");
+    assert!(field_u64(&parked, "generations") > 0, "the drain ran no generation: {parked}");
+
+    // Both snapshots lost: the second incarnation starts from scratch.
+    let job_dir = dir.join("jobs/fresh-1");
+    std::fs::remove_file(job_dir.join("checkpoint.ckpt")).unwrap();
+    let _ = std::fs::remove_file(job_dir.join("checkpoint.prev.ckpt"));
+    let second = spawn(&dir, 1_000_000);
+    let mut client = Client::connect(second.addr()).unwrap();
+    let running = wait_for_state(&mut client, "fresh-1", "running");
+    let on_disk = manifest(&dir, "fresh-1");
+    assert_eq!(on_disk.get("state").and_then(Json::as_str), Some("running"), "{on_disk}");
+    for key in ["generations", "evaluations"] {
+        assert_eq!(
+            field_u64(&on_disk, key),
+            field_u64(&running, key),
+            "{key}: manifest {on_disk} vs status {running}"
+        );
+    }
+
+    request(&mut client, r#"{"type":"job.stop","job":"fresh-1"}"#);
+    wait_for_state(&mut client, "fresh-1", "stopped");
+    second.shutdown();
+    second.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn manifest_already_holds_every_state_status_reports() {
+    // Where a state sits in the lifecycle this test drives; the manifest
+    // may be ahead of a status answer (the job moved on), never behind.
+    fn rank(state: &str) -> usize {
+        ["queued", "running", "checkpointed", "stopped"]
+            .iter()
+            .position(|s| *s == state)
+            .unwrap_or_else(|| panic!("unexpected state {state:?}"))
+    }
+    fn check(dir: &std::path::Path, status: &Json) -> String {
+        let state = status.get("state").and_then(Json::as_str).unwrap().to_string();
+        let on_disk = manifest(dir, "seen-1");
+        let disk_state = on_disk.get("state").and_then(Json::as_str).unwrap();
+        assert!(rank(disk_state) >= rank(&state), "status {status} ahead of manifest {on_disk}");
+        for key in ["generations", "evaluations"] {
+            assert!(
+                field_u64(&on_disk, key) >= field_u64(status, key),
+                "{key}: status {status} ahead of manifest {on_disk}"
+            );
+        }
+        state
+    }
+
+    let dir = data_dir("persist-first");
+    let handle = spawn(&dir, 1);
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let started = request(&mut client, &job_start_line("seen-1", 50_000_000, 1));
+    assert_eq!(started.get("type").unwrap().as_str(), Some("job"), "{started}");
+    check(&dir, &started);
+
+    // Checkpoints land every generation; watch a good number of them.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let v = job_status(&mut client, "seen-1");
+        if check(&dir, &v) == "checkpointed" && field_u64(&v, "generations") >= 50 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "too few checkpoints: {v}");
+    }
+
+    request(&mut client, r#"{"type":"job.stop","job":"seen-1"}"#);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let stopped = loop {
+        let v = job_status(&mut client, "seen-1");
+        if check(&dir, &v) == "stopped" {
+            break v;
+        }
+        assert!(Instant::now() < deadline, "never stopped: {v}");
+    };
+    // Terminal: nothing moves any more, so disk and wire agree exactly.
+    let on_disk = manifest(&dir, "seen-1");
+    assert_eq!(on_disk.get("state").and_then(Json::as_str), Some("stopped"), "{on_disk}");
+    for key in ["generations", "evaluations"] {
+        assert_eq!(field_u64(&on_disk, key), field_u64(&stopped, key), "{key}");
+    }
+
+    let archived = request(&mut client, r#"{"type":"job.archive","job":"seen-1"}"#);
+    let dest = PathBuf::from(archived.get("archived_to").unwrap().as_str().unwrap());
+    let on_disk =
+        Json::parse(&std::fs::read_to_string(dest.join("manifest.json")).unwrap()).unwrap();
+    assert_eq!(on_disk.get("state").and_then(Json::as_str), Some("stopped"), "{on_disk}");
+    assert_eq!(field_u64(&on_disk, "generations"), field_u64(&stopped, "generations"));
+
+    handle.shutdown();
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
