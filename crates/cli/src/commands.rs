@@ -232,12 +232,9 @@ pub fn cmd_schedule(args: &Args) -> Result<String, CliError> {
         } else {
             Termination::wall_time_ms(args.get_parse("time-ms", 2_000u64, "u64")?)
         };
-        let crossover = match args.get("crossover").unwrap_or("tpx") {
-            "opx" => CrossoverOp::OnePoint,
-            "tpx" => CrossoverOp::TwoPoint,
-            "ux" => CrossoverOp::Uniform,
-            other => return Err(CliError::Other(format!("bad crossover {other:?}"))),
-        };
+        let crossover = args.get("crossover").unwrap_or("tpx");
+        let crossover = CrossoverOp::from_name(crossover)
+            .ok_or_else(|| CliError::Other(format!("bad crossover {crossover:?}")))?;
         let config = PaCgaConfig::builder()
             .threads(args.get_parse("threads", 3usize, "usize")?)
             .crossover(crossover)
@@ -379,12 +376,9 @@ pub fn cmd_sweep(args: &Args) -> Result<String, CliError> {
     let seed0 = args.get_parse("seed", 0u64, "u64")?;
     let threads = args.get_parse("threads", 1usize, "usize")?;
     let ls = args.get_parse("ls", 10usize, "usize")?;
-    let crossover = match args.get("crossover").unwrap_or("tpx") {
-        "opx" => CrossoverOp::OnePoint,
-        "tpx" => CrossoverOp::TwoPoint,
-        "ux" => CrossoverOp::Uniform,
-        other => return Err(CliError::Other(format!("bad crossover {other:?}"))),
-    };
+    let crossover = args.get("crossover").unwrap_or("tpx");
+    let crossover = CrossoverOp::from_name(crossover)
+        .ok_or_else(|| CliError::Other(format!("bad crossover {crossover:?}")))?;
     let termination = match (args.get("evals"), args.get("gens"), args.get("time-ms")) {
         (Some(e), None, None) => Termination::Evaluations(
             e.parse().map_err(|_| CliError::Other(format!("--evals: cannot parse {e:?}")))?,

@@ -30,6 +30,10 @@ pub enum CrossoverOp {
 }
 
 impl CrossoverOp {
+    /// Every operator, one-point first.
+    pub const ALL: [CrossoverOp; 3] =
+        [CrossoverOp::OnePoint, CrossoverOp::TwoPoint, CrossoverOp::Uniform];
+
     /// Canonical name used in the paper's figures.
     pub fn name(self) -> &'static str {
         match self {
@@ -37,6 +41,11 @@ impl CrossoverOp {
             CrossoverOp::TwoPoint => "tpx",
             CrossoverOp::Uniform => "ux",
         }
+    }
+
+    /// The operator [`CrossoverOp::name`] spells `name`, if any.
+    pub fn from_name(name: &str) -> Option<CrossoverOp> {
+        CrossoverOp::ALL.into_iter().find(|op| op.name() == name)
     }
 
     /// Recombines into `offspring` (which is overwritten). `offspring`
@@ -150,6 +159,15 @@ mod tests {
     }
 
     #[test]
+    fn names_parse_back() {
+        for op in CrossoverOp::ALL {
+            assert_eq!(CrossoverOp::from_name(op.name()), Some(op));
+        }
+        assert_eq!(CrossoverOp::from_name("TPX"), None);
+        assert_eq!(CrossoverOp::from_name(""), None);
+    }
+
+    #[test]
     fn one_point_is_prefix_suffix() {
         let inst = EtcInstance::toy(16, 3);
         let (p1, p2) = parents(&inst);
@@ -196,7 +214,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(11);
         let p1 = Schedule::random(&inst, &mut rng);
         let p2 = Schedule::random(&inst, &mut rng);
-        for op in [CrossoverOp::OnePoint, CrossoverOp::TwoPoint, CrossoverOp::Uniform] {
+        for op in CrossoverOp::ALL {
             let off = op.recombine(&inst, &p1, &p2, &mut rng);
             for t in 0..inst.n_tasks() {
                 let g = off.machine_of(t);
@@ -225,7 +243,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(21);
         let p1 = Schedule::random(&inst, &mut rng);
         let p2 = Schedule::random(&inst, &mut rng);
-        for op in [CrossoverOp::OnePoint, CrossoverOp::TwoPoint, CrossoverOp::Uniform] {
+        for op in CrossoverOp::ALL {
             for seed in 0..20 {
                 let mut r1 = SmallRng::seed_from_u64(seed);
                 let mut r2 = SmallRng::seed_from_u64(seed);
@@ -245,7 +263,7 @@ mod tests {
         let inst = EtcInstance::toy(8, 2);
         let p = Schedule::round_robin(&inst);
         let mut rng = SmallRng::seed_from_u64(2);
-        for op in [CrossoverOp::OnePoint, CrossoverOp::TwoPoint, CrossoverOp::Uniform] {
+        for op in CrossoverOp::ALL {
             let off = op.recombine(&inst, &p, &p, &mut rng);
             assert_eq!(off.assignment(), p.assignment(), "{op}");
         }

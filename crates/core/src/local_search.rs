@@ -135,12 +135,12 @@ impl H2ll {
         self.apply_with_scratch(instance, schedule, rng, &mut scratch)
     }
 
-    /// The pre-index implementation, frozen for A/B benchmarking
-    /// (`benches/operators.rs`) and the trace-identity regression test:
-    /// full machine sort plus two O(#tasks) assignment scans (count +
-    /// `nth`-filter pick) per iteration. Behaviorally identical to the
-    /// paper's Algorithm 4; kept verbatim so the `h2ll` vs `h2ll_scan`
-    /// benches measure exactly the retired cost structure.
+    /// The pre-index implementation, frozen as the oracle of the
+    /// differential and trace-identity tests: full machine sort plus two
+    /// O(#tasks) assignment scans (count + `nth`-filter pick) per
+    /// iteration. Behaviorally identical to the paper's Algorithm 4; kept
+    /// verbatim so an `h2ll` vs `h2ll_scan` timing measures exactly the
+    /// retired cost structure.
     pub fn apply_scan_with_scratch(
         &self,
         instance: &EtcInstance,

@@ -48,5 +48,5 @@ pub use consistency::Consistency;
 pub use generator::{EtcGenerator, GeneratorParams};
 pub use heterogeneity::Heterogeneity;
 pub use instance::EtcInstance;
-pub use matrix::{EtcMatrix, MatrixLayout};
+pub use matrix::EtcMatrix;
 pub use ranges::EtcRange;

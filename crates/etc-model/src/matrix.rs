@@ -10,22 +10,9 @@
 //! task-major (the textbook `ETC[t][m]`), and [`EtcMatrix::etc_on`] is the
 //! machine-major (transposed) hot-path accessor. Storing both costs
 //! `8 · n · m` extra bytes (64 KiB for the 512×16 benchmark instances) and
-//! lets the layout ablation benchmark measure exactly the effect the paper
-//! claims, on identical data.
+//! lets the two accessors be timed against each other on identical data.
 
 use serde::{Deserialize, Serialize};
-
-/// Which in-memory layout an ETC accessor walks.
-///
-/// Used by the layout-ablation benchmark (`benches/etc_layout.rs`) to
-/// compare the paper's transposed storage against the naive layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MatrixLayout {
-    /// Rows are tasks: `data[t * n_machines + m]`.
-    TaskMajor,
-    /// Rows are machines (the paper's choice): `data[m * n_tasks + t]`.
-    MachineMajor,
-}
 
 /// An `n_tasks × n_machines` matrix of expected execution times.
 ///
@@ -117,15 +104,6 @@ impl EtcMatrix {
         self.machine_major[machine * self.n_tasks + task]
     }
 
-    /// Expected time through an explicit layout choice (ablation hook).
-    #[inline]
-    pub fn etc_with_layout(&self, layout: MatrixLayout, task: usize, machine: usize) -> f64 {
-        match layout {
-            MatrixLayout::TaskMajor => self.etc(task, machine),
-            MatrixLayout::MachineMajor => self.etc_on(machine, task),
-        }
-    }
-
     /// The row of times for `task` across all machines (task-major slice).
     #[inline]
     pub fn task_row(&self, task: usize) -> &[f64] {
@@ -202,8 +180,6 @@ mod tests {
         for t in 0..3 {
             for mac in 0..2 {
                 assert_eq!(m.etc(t, mac), m.etc_on(mac, t));
-                assert_eq!(m.etc(t, mac), m.etc_with_layout(MatrixLayout::TaskMajor, t, mac));
-                assert_eq!(m.etc(t, mac), m.etc_with_layout(MatrixLayout::MachineMajor, t, mac));
             }
         }
     }

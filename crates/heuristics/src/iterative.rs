@@ -206,9 +206,9 @@ pub fn sufferage(instance: &EtcInstance) -> Schedule {
     iterative(instance, CommitRule::Sufferage)
 }
 
-/// [`min_min`] via the retired O(T²·M) full-rescan driver. Kept only to
-/// price the indexed driver against (`benches/heuristics.rs`) and to pin
-/// bit-identical results in tests.
+/// [`min_min`] via the retired O(T²·M) full-rescan driver. Kept only as
+/// the oracle the indexed driver's results are pinned against in tests
+/// (and the baseline a future perfbench row would price it against).
 pub fn min_min_scan(instance: &EtcInstance) -> Schedule {
     iterative_scan(instance, CommitRule::MinMin)
 }

@@ -57,7 +57,7 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -112,12 +112,14 @@ impl JobState {
 }
 
 /// Why a job's cancel flag was raised.
-const STOP_NONE: u8 = 0;
-/// `job.stop`: wind down to terminal `stopped`.
-const STOP_USER: u8 = 1;
-/// Daemon drain: write a final checkpoint and leave `checkpointed` for
-/// the next daemon incarnation to finish.
-const STOP_DRAIN: u8 = 2;
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stop {
+    /// `job.stop`: wind down to terminal `stopped`.
+    User,
+    /// Daemon drain: write a final checkpoint and leave `checkpointed` for
+    /// the next daemon incarnation to finish.
+    Drain,
+}
 
 /// Milliseconds since the Unix epoch (0 if the clock is before 1970).
 fn now_ms() -> u64 {
@@ -170,25 +172,6 @@ fn bucket_days(name: &str) -> Option<i64> {
     Some(days_from_civil(y, m, d))
 }
 
-/// What the job's budget counts, for progress/ETA derivation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BudgetKind {
-    Evaluations(u64),
-    Generations(u64),
-    /// Wall-time or unknown: no unit budget to extrapolate against.
-    None,
-}
-
-impl BudgetKind {
-    fn of(t: &Termination) -> BudgetKind {
-        match t {
-            Termination::Evaluations(e) => BudgetKind::Evaluations(*e),
-            Termination::Generations(g) => BudgetKind::Generations(*g),
-            Termination::WallTime(_) => BudgetKind::None,
-        }
-    }
-}
-
 /// The manifest: everything a restarted daemon needs to reconstruct and
 /// resume the job. Persisted atomically on every state transition and
 /// every checkpoint.
@@ -239,6 +222,27 @@ impl Manifest {
             raw: v.get("request").cloned().ok_or("manifest: missing request")?,
         })
     }
+
+    /// Takes a snapshot's counters, and its best fitness when it has one.
+    fn set_progress(&mut self, meta: &CheckpointMeta, best: Option<f64>) {
+        self.generations = meta.generations;
+        self.evaluations = meta.evaluations;
+        self.elapsed_ms = meta.elapsed_ms;
+        self.best = best.or(self.best);
+    }
+
+    /// The `job.list` row; archived rows carry their bucket date.
+    fn list_row(&self, job: String, archived_date: Option<String>) -> JobListEntry {
+        JobListEntry {
+            job,
+            state: self.state.as_str().to_string(),
+            live: archived_date.is_none(),
+            generations: self.generations,
+            evaluations: self.evaluations,
+            best_makespan: self.best,
+            archived_date,
+        }
+    }
 }
 
 /// Writes `value` to `path` atomically via the shared temp-file +
@@ -260,100 +264,112 @@ fn append_progress(dir: &Path, event: &str) {
     }
 }
 
-/// One tracked job: live counters plus its on-disk home. Shared between
-/// the worker thread, the checkpoint callback, and status queries.
-pub struct JobEntry {
+/// Everything about a job that changes, under its entry's one lock.
+struct Record {
+    /// The job's state and counters, as `manifest.json` holds them.
+    manifest: Manifest,
+    /// Why the cancel flag was raised, once it is.
+    stop: Option<Stop>,
+    /// While the engine runs: the instant `manifest.elapsed_ms` was taken.
+    run_started: Option<Instant>,
+}
+
+impl Record {
+    /// Total elapsed including the live incarnation, milliseconds.
+    fn elapsed_ms(&self) -> u64 {
+        let live = self.run_started.map(|t| t.elapsed().as_millis() as u64).unwrap_or(0);
+        self.manifest.elapsed_ms + live
+    }
+}
+
+/// One tracked job: its on-disk home and its record. Shared between the
+/// worker thread, the checkpoint callback, and status queries.
+struct JobEntry {
     name: String,
     dir: PathBuf,
-    state: Mutex<JobState>,
     /// Cooperative cancel, polled by the engine at sweep boundaries.
     cancel: AtomicBool,
-    stop_kind: AtomicU8,
-    generations: AtomicU64,
-    evaluations: AtomicU64,
-    /// Best fitness bits (`u64::MAX` = none observed yet).
-    best_bits: AtomicU64,
-    /// Elapsed before this incarnation (from the resumed checkpoint).
-    elapsed_base_ms: AtomicU64,
-    run_started: Mutex<Option<Instant>>,
-    error: Mutex<Option<String>>,
-    budget: BudgetKind,
+    record: Mutex<Record>,
+    /// The request's budget, for the ETA (`None` when the stored request
+    /// no longer decodes).
+    termination: Option<Termination>,
 }
 
 impl JobEntry {
-    fn new(name: &str, dir: PathBuf, manifest: &Manifest, budget: BudgetKind) -> JobEntry {
+    fn new(
+        name: &str,
+        dir: PathBuf,
+        manifest: Manifest,
+        termination: Option<Termination>,
+    ) -> JobEntry {
         JobEntry {
             name: name.to_string(),
             dir,
-            state: Mutex::new(manifest.state),
             cancel: AtomicBool::new(false),
-            stop_kind: AtomicU8::new(STOP_NONE),
-            generations: AtomicU64::new(manifest.generations),
-            evaluations: AtomicU64::new(manifest.evaluations),
-            best_bits: AtomicU64::new(manifest.best.map(f64::to_bits).unwrap_or(u64::MAX)),
-            elapsed_base_ms: AtomicU64::new(manifest.elapsed_ms),
-            run_started: Mutex::new(None),
-            error: Mutex::new(manifest.error.clone()),
-            budget,
+            record: Mutex::new(Record { manifest, stop: None, run_started: None }),
+            termination,
         }
     }
 
     fn state(&self) -> JobState {
-        *self.state.lock()
+        self.record.lock().manifest.state
     }
 
-    fn set_state(&self, s: JobState) {
-        *self.state.lock() = s;
+    /// The one way a job's record changes: under its lock, apply
+    /// `change`, write `manifest.json`, then log `event`. Readers take
+    /// the same lock, so nothing they see is ahead of the disk.
+    fn transition(&self, event: &str, change: impl FnOnce(&mut Record)) {
+        let mut record = self.record.lock();
+        change(&mut record);
+        let _ = write_json_atomic(
+            &self.dir.join("manifest.json"),
+            &record.manifest.to_json(&self.name),
+        );
+        append_progress(&self.dir, event);
     }
 
-    /// Total elapsed including the live incarnation, milliseconds.
-    fn elapsed_ms(&self) -> u64 {
-        // ord: Relaxed — standalone counter; status readers tolerate a
-        // slightly stale figure.
-        let base = self.elapsed_base_ms.load(Ordering::Relaxed);
-        let live = self.run_started.lock().map(|t| t.elapsed().as_millis() as u64).unwrap_or(0);
-        base + live
+    /// Raises the cancel flag unless the job is terminal; returns whether
+    /// it did. A user stop wins over a drain, never the other way round.
+    fn request_stop(&self, kind: Stop) -> bool {
+        let mut record = self.record.lock();
+        if record.manifest.state.is_terminal() {
+            return false;
+        }
+        if kind == Stop::User || record.stop.is_none() {
+            record.stop = Some(kind);
+        }
+        // ord: Release — pairs with the engine's Acquire load in
+        // RunHooks::is_cancelled; the stop kind rides on the record lock.
+        self.cancel.store(true, Ordering::Release);
+        if kind == Stop::User {
+            append_progress(&self.dir, "stop-requested");
+        }
+        true
     }
 
     /// The wire-facing status body.
     fn status_body(&self) -> JobStatusBody {
-        let state = self.state();
-        // ord: Relaxed — independent progress counters; a status body is
-        // a best-effort snapshot, not a consistent cut.
-        let generations = self.generations.load(Ordering::Relaxed);
-        let evaluations = self.evaluations.load(Ordering::Relaxed);
-        let best_bits = self.best_bits.load(Ordering::Relaxed);
-        let elapsed_s = self.elapsed_ms() as f64 / 1e3;
-        let rate = JobProgress { done: evaluations, budget: None, elapsed_s }.per_sec();
-        let eta = match self.budget {
-            BudgetKind::Evaluations(e) => {
-                JobProgress { done: evaluations, budget: Some(e), elapsed_s }.eta_s()
-            }
-            BudgetKind::Generations(g) => {
-                JobProgress { done: generations, budget: Some(g), elapsed_s }.eta_s()
-            }
-            BudgetKind::None => None,
+        let record = self.record.lock();
+        let m = &record.manifest;
+        let elapsed_s = record.elapsed_ms() as f64 / 1e3;
+        let (done, budget) = match self.termination {
+            Some(Termination::Evaluations(e)) => (m.evaluations, Some(e)),
+            Some(Termination::Generations(g)) => (m.generations, Some(g)),
+            Some(Termination::WallTime(_)) | None => (m.evaluations, None),
         };
+        let live = !m.state.is_terminal();
+        let rate = JobProgress { done: m.evaluations, budget: None, elapsed_s }.per_sec();
         JobStatusBody {
             job: self.name.clone(),
-            state: state.as_str().to_string(),
-            generations,
-            evaluations,
-            best_makespan: (best_bits != u64::MAX).then(|| f64::from_bits(best_bits)),
-            evals_per_sec: if state.is_terminal() { None } else { rate },
-            eta_s: if state.is_terminal() { None } else { eta },
+            state: m.state.as_str().to_string(),
+            generations: m.generations,
+            evaluations: m.evaluations,
+            best_makespan: m.best,
+            evals_per_sec: rate.filter(|_| live),
+            eta_s: JobProgress { done, budget, elapsed_s }.eta_s().filter(|_| live),
             archived_to: None,
-            message: self.error.lock().clone(),
+            message: m.error.clone(),
         }
-    }
-}
-
-impl std::fmt::Debug for JobEntry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobEntry")
-            .field("name", &self.name)
-            .field("state", &self.state())
-            .finish_non_exhaustive()
     }
 }
 
@@ -431,10 +447,9 @@ impl JobManager {
     }
 
     /// Scans the jobs dir, loading every manifest; jobs found in a
-    /// resumable state are re-queued. Returns the number resumed.
-    fn recover(self: &Arc<Self>) -> usize {
-        let mut resumed = 0;
-        let Ok(dirents) = std::fs::read_dir(&self.jobs_dir) else { return 0 };
+    /// resumable state are re-queued.
+    fn recover(self: &Arc<Self>) {
+        let Ok(dirents) = std::fs::read_dir(&self.jobs_dir) else { return };
         for dirent in dirents.flatten() {
             let dir = dirent.path();
             if !dir.is_dir() {
@@ -459,47 +474,38 @@ impl JobManager {
                 Ok(Request::JobStart(req)) => Some(*req),
                 Ok(_) | Err(_) => None,
             };
-            let budget = req
-                .as_ref()
-                .map(|r| BudgetKind::of(&r.spec.termination))
-                .unwrap_or(BudgetKind::None);
-            let entry = Arc::new(JobEntry::new(&name, dir.clone(), &manifest, budget));
-            if !manifest.state.is_terminal() {
+            let state = manifest.state;
+            let termination = req.as_ref().map(|r| r.spec.termination);
+            let entry = Arc::new(JobEntry::new(&name, dir, manifest, termination));
+            if !state.is_terminal() {
                 match req {
                     Some(req) => {
-                        append_progress(
-                            &dir,
-                            &format!("recovered state={}", manifest.state.as_str()),
-                        );
+                        append_progress(&entry.dir, &format!("recovered state={}", state.as_str()));
                         // ord: Relaxed — stats counters, no data rides on
                         // them.
                         self.resumed.fetch_add(1, Ordering::Relaxed);
                         self.started.fetch_add(1, Ordering::Relaxed);
-                        resumed += 1;
-                        self.spawn_worker(Arc::clone(&entry), req, manifest, true);
+                        self.spawn_worker(Arc::clone(&entry), req, true);
                     }
-                    None => {
-                        finalize(
-                            self,
-                            &entry,
-                            &mut manifest.clone(),
-                            JobState::Failed,
-                            Some("stored request no longer decodes".into()),
-                        );
-                    }
+                    None => finalize(
+                        self,
+                        &entry,
+                        JobState::Failed,
+                        Some("stored request no longer decodes".into()),
+                        |_| {},
+                    ),
                 }
             }
             self.entries.lock().insert(name, entry);
         }
-        resumed
     }
 
     /// Starts a new durable job. `Err("draining")` maps to `busy` at the
     /// protocol layer; other errors are request errors.
     pub fn start(self: &Arc<Self>, req: JobStartRequest) -> Result<JobStatusBody, String> {
         // ord: Acquire — pairs with the AcqRel swap in begin_drain; a
-        // start racing the drain edge is safely rejected or admitted
-        // (admitted jobs still see the cancel flag).
+        // start racing the drain edge is rejected here or parked by the
+        // check after the insert below.
         if self.draining.load(Ordering::Acquire) {
             return Err("draining".into());
         }
@@ -555,28 +561,27 @@ impl JobManager {
             .map_err(|e| format!("cannot write manifest: {e}"))?;
         append_progress(&dir, "created");
 
-        let budget = BudgetKind::of(&req.spec.termination);
-        let entry = Arc::new(JobEntry::new(&name, dir, &manifest, budget));
+        let entry = Arc::new(JobEntry::new(&name, dir, manifest, Some(req.spec.termination)));
         self.entries.lock().insert(name.clone(), Arc::clone(&entry));
+        // A drain that began after the check above may have walked the
+        // entries before this insert: park the job like the others.
+        // ord: Acquire — same pairing as the check above; a drain whose
+        // walk missed this entry swapped the flag before that walk.
+        if self.draining.load(Ordering::Acquire) {
+            entry.request_stop(Stop::Drain);
+        }
         // ord: Relaxed — stats counter.
         self.started.fetch_add(1, Ordering::Relaxed);
-        self.spawn_worker(Arc::clone(&entry), req, manifest, false);
+        self.spawn_worker(Arc::clone(&entry), req, false);
         Ok(entry.status_body())
     }
 
-    fn spawn_worker(
-        self: &Arc<Self>,
-        entry: Arc<JobEntry>,
-        req: JobStartRequest,
-        mut manifest: Manifest,
-        resumed: bool,
-    ) {
+    fn spawn_worker(self: &Arc<Self>, entry: Arc<JobEntry>, req: JobStartRequest, resumed: bool) {
         let mgr = Arc::clone(self);
         let worker_entry = Arc::clone(&entry);
-        let worker_manifest = manifest.clone();
         let spawned = std::thread::Builder::new()
             .name(format!("pacga-job-{}", entry.name))
-            .spawn(move || run_job(&mgr, &worker_entry, req, worker_manifest, resumed));
+            .spawn(move || run_job(&mgr, &worker_entry, req, resumed));
         match spawned {
             Ok(handle) => self.handles.lock().push(handle),
             // Thread exhaustion is an environment failure, not a panic:
@@ -584,9 +589,9 @@ impl JobManager {
             Err(e) => finalize(
                 self,
                 &entry,
-                &mut manifest,
                 JobState::Failed,
                 Some(format!("cannot spawn worker thread: {e}")),
+                |_| {},
             ),
         }
     }
@@ -613,21 +618,13 @@ impl JobManager {
     /// with their state unchanged.
     pub fn stop(&self, name: &str) -> Result<JobStatusBody, String> {
         let entry = self.entry(name)?;
+        let stopping = entry.request_stop(Stop::User);
         let mut body = entry.status_body();
-        if entry.state().is_terminal() {
-            body.message = Some(format!("job already {}", body.state));
-            return Ok(body);
-        }
-        // ord: Relaxed — stop_kind is published by the Release store of
-        // the cancel flag just below; nothing reads it before observing
-        // cancel (or joining the worker).
-        entry.stop_kind.store(STOP_USER, Ordering::Relaxed);
-        // ord: Release — pairs with the engine's Acquire load in
-        // RunHooks::is_cancelled, making stop_kind visible to the
-        // wound-down run.
-        entry.cancel.store(true, Ordering::Release);
-        append_progress(&entry.dir, "stop-requested");
-        body.message = Some("stop requested".into());
+        body.message = Some(if stopping {
+            "stop requested".into()
+        } else {
+            format!("job already {}", body.state)
+        });
         Ok(body)
     }
 
@@ -658,24 +655,13 @@ impl JobManager {
     /// sorted within a bucket). Archived rows report the manifest's
     /// terminal state plus the bucket date.
     pub fn list(&self) -> Vec<JobListEntry> {
-        let mut live: Vec<JobListEntry> = self
+        let mut rows: Vec<JobListEntry> = self
             .entries
             .lock()
             .values()
-            .map(|e| {
-                let body = e.status_body();
-                JobListEntry {
-                    job: body.job,
-                    state: body.state,
-                    live: true,
-                    generations: body.generations,
-                    evaluations: body.evaluations,
-                    best_makespan: body.best_makespan,
-                    archived_date: None,
-                }
-            })
+            .map(|e| e.record.lock().manifest.list_row(e.name.clone(), None))
             .collect();
-        live.sort_by(|a, b| a.job.cmp(&b.job));
+        rows.sort_by(|a, b| a.job.cmp(&b.job));
 
         let mut buckets: Vec<String> = match std::fs::read_dir(&self.archive_dir) {
             Ok(dirents) => dirents
@@ -698,50 +684,22 @@ impl JobManager {
                 let Ok(text) = std::fs::read_to_string(&manifest_path) else { continue };
                 let Ok(parsed) = Json::parse(&text) else { continue };
                 let Ok(manifest) = Manifest::from_json(&parsed) else { continue };
-                live.push(JobListEntry {
-                    job: name,
-                    state: manifest.state.as_str().to_string(),
-                    live: false,
-                    generations: manifest.generations,
-                    evaluations: manifest.evaluations,
-                    best_makespan: manifest.best,
-                    archived_date: Some(bucket.clone()),
-                });
+                rows.push(manifest.list_row(name, Some(bucket.clone())));
             }
         }
-        live
-    }
-
-    /// True once a drain has begun (new `job.start`s are rejected).
-    pub fn draining(&self) -> bool {
-        // ord: Acquire — pairs with the AcqRel swap in begin_drain.
-        self.draining.load(Ordering::Acquire)
+        rows
     }
 
     /// Begins the drain: every live job is asked to write a final
     /// checkpoint and park as `checkpointed` (resumed by the next daemon).
     pub fn begin_drain(&self) {
-        // ord: AcqRel — the winning swap orders the flag against the
-        // per-entry stop propagation below; later Acquire loads in
-        // start()/draining() observe the edge.
+        // ord: AcqRel — the winning swap orders the flag before the walk
+        // below; the Acquire loads in start() observe the edge.
         if self.draining.swap(true, Ordering::AcqRel) {
             return;
         }
         for entry in self.entries.lock().values() {
-            if !entry.state().is_terminal() {
-                // A user stop already in flight keeps its meaning.
-                // ord: Relaxed — single-variable CAS; the Release store
-                // of the cancel flag below publishes the outcome.
-                let _ = entry.stop_kind.compare_exchange(
-                    STOP_NONE,
-                    STOP_DRAIN,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                );
-                // ord: Release — pairs with the Acquire load in
-                // RunHooks::is_cancelled; publishes stop_kind.
-                entry.cancel.store(true, Ordering::Release);
-            }
+            entry.request_stop(Stop::Drain);
         }
     }
 
@@ -801,50 +759,33 @@ impl std::fmt::Debug for JobManager {
     }
 }
 
-/// Terminal transition: persist state + counters, update the in-memory
-/// entry, bump the manager counters.
+/// Terminal transition: bumps the manager counter, then `change` brings
+/// the counters up to date as the record takes `state` and `error`.
 fn finalize(
     mgr: &JobManager,
     entry: &JobEntry,
-    manifest: &mut Manifest,
     state: JobState,
     error: Option<String>,
+    change: impl FnOnce(&mut Manifest),
 ) {
-    manifest.state = state;
-    // ord: Relaxed — the worker thread finalizing is the same thread
-    // that last stored these counters (or joined the one that did).
-    manifest.generations = entry.generations.load(Ordering::Relaxed);
-    manifest.evaluations = entry.evaluations.load(Ordering::Relaxed);
-    manifest.elapsed_ms = entry.elapsed_ms();
-    // ord: Relaxed — same single-writer argument as above.
-    let best = entry.best_bits.load(Ordering::Relaxed);
-    manifest.best = (best != u64::MAX).then(|| f64::from_bits(best));
-    manifest.error = error.clone();
-    // ord: Relaxed — status readers tolerate staleness.
-    entry.elapsed_base_ms.store(manifest.elapsed_ms, Ordering::Relaxed);
-    *entry.run_started.lock() = None;
-    *entry.error.lock() = error.clone();
-    let _ = write_json_atomic(&entry.dir.join("manifest.json"), &manifest.to_json(&entry.name));
-    match state {
-        JobState::Done => {
-            // ord: Relaxed — stats counter.
-            mgr.completed.fetch_add(1, Ordering::Relaxed);
-            append_progress(&entry.dir, "done");
-        }
+    let (counter, event) = match state {
+        JobState::Done => (Some(&mgr.completed), "done".to_string()),
         JobState::Failed => {
-            // ord: Relaxed — stats counter.
-            mgr.failed.fetch_add(1, Ordering::Relaxed);
-            append_progress(
-                &entry.dir,
-                &format!("failed error={:?}", error.as_deref().unwrap_or("unknown")),
-            );
+            (Some(&mgr.failed), format!("failed error={:?}", error.as_deref().unwrap_or("unknown")))
         }
-        JobState::Stopped => append_progress(&entry.dir, "stopped"),
-        _ => {}
+        _ => (None, state.as_str().to_string()),
+    };
+    if let Some(counter) = counter {
+        // ord: Relaxed — stats counter.
+        counter.fetch_add(1, Ordering::Relaxed);
     }
-    // Published last: a status reader that sees the terminal state also
-    // sees its manifest, its progress line and the manager counters.
-    entry.set_state(state);
+    entry.transition(&event, |record| {
+        record.manifest.elapsed_ms = record.elapsed_ms();
+        record.run_started = None;
+        change(&mut record.manifest);
+        record.manifest.state = state;
+        record.manifest.error = error;
+    });
 }
 
 /// Writes `result.json` + `trace.csv` for a completed job.
@@ -852,9 +793,7 @@ fn write_result(
     entry: &JobEntry,
     instance: &etc_model::EtcInstance,
     best: &Individual,
-    generations: u64,
-    evaluations: u64,
-    elapsed_ms: u64,
+    totals: &CheckpointMeta,
     traces: &[pa_cga_core::trace::ThreadTrace],
 ) {
     let result = Json::obj(vec![
@@ -867,9 +806,9 @@ fn write_result(
             "assignment",
             Json::Arr(best.schedule.assignment().iter().map(|&m| Json::num(m as f64)).collect()),
         ),
-        ("generations", Json::num(generations as f64)),
-        ("evaluations", Json::num(evaluations as f64)),
-        ("elapsed_ms", Json::num(elapsed_ms as f64)),
+        ("generations", Json::num(totals.generations as f64)),
+        ("evaluations", Json::num(totals.evaluations as f64)),
+        ("elapsed_ms", Json::num(totals.elapsed_ms as f64)),
     ]);
     let _ = write_json_atomic(&entry.dir.join("result.json"), &result);
 
@@ -884,49 +823,35 @@ fn write_result(
 
 /// The detached worker: admission, checkpoint recovery, the hooked
 /// engine run, and the terminal transition.
-fn run_job(
-    mgr: &Arc<JobManager>,
-    entry: &Arc<JobEntry>,
-    req: JobStartRequest,
-    mut manifest: Manifest,
-    resumed: bool,
-) {
+fn run_job(mgr: &JobManager, entry: &JobEntry, req: JobStartRequest, resumed: bool) {
     let weight = req.spec.threads.clamp(1, mgr.workers);
     mgr.pool.acquire(weight);
-    let outcome =
-        catch_unwind(AssertUnwindSafe(|| run_job_inner(mgr, entry, &req, &mut manifest, resumed)));
+    let outcome = catch_unwind(AssertUnwindSafe(|| run_job_inner(mgr, entry, &req, resumed)));
     if let Err(panic) = outcome {
         let message = panic
             .downcast_ref::<&str>()
             .map(|s| s.to_string())
             .or_else(|| panic.downcast_ref::<String>().cloned())
             .unwrap_or_else(|| "engine panicked".into());
-        finalize(mgr, entry, &mut manifest, JobState::Failed, Some(message));
+        finalize(mgr, entry, JobState::Failed, Some(message), |_| {});
     }
     mgr.pool.release(weight);
 }
 
-fn run_job_inner(
-    mgr: &Arc<JobManager>,
-    entry: &Arc<JobEntry>,
-    req: &JobStartRequest,
-    manifest: &mut Manifest,
-    resumed: bool,
-) {
+fn run_job_inner(mgr: &JobManager, entry: &JobEntry, req: &JobStartRequest, resumed: bool) {
     // Cancelled while queued?
-    // ord: Relaxed — racing a concurrent stop is benign: a missed kind
-    // here is caught by the cancel flag at the first sweep boundary.
-    match entry.stop_kind.load(Ordering::Relaxed) {
-        STOP_USER => return finalize(mgr, entry, manifest, JobState::Stopped, None),
+    let stop = entry.record.lock().stop;
+    match stop {
+        Some(Stop::User) => return finalize(mgr, entry, JobState::Stopped, None, |_| {}),
         // Drain before we even started: leave the on-disk state as-is
         // (queued/checkpointed), the next daemon picks it up.
-        STOP_DRAIN => return,
-        _ => {}
+        Some(Stop::Drain) => return,
+        None => {}
     }
 
     let instance = match req.spec.resolve_instance() {
         Ok(i) => i,
-        Err(e) => return finalize(mgr, entry, manifest, JobState::Failed, Some(e)),
+        Err(e) => return finalize(mgr, entry, JobState::Failed, Some(e), |_| {}),
     };
     let mut cfg = req.spec.build_config();
     cfg.record_traces = true;
@@ -978,16 +903,8 @@ fn run_job_inner(
         Some((pop, meta)) => (Some(pop), meta),
         None => (None, CheckpointMeta::default()),
     };
-    // ord: Relaxed — single-writer progress mirrors; status queries read
-    // them without cross-field consistency requirements.
-    entry.generations.store(base.generations, Ordering::Relaxed);
-    entry.evaluations.store(base.evaluations, Ordering::Relaxed);
-    entry.elapsed_base_ms.store(base.elapsed_ms, Ordering::Relaxed);
-    if let Some(pop) = &initial {
-        let best = pop.iter().map(|i| i.fitness).fold(f64::INFINITY, f64::min);
-        // ord: Relaxed — same mirror contract as above.
-        entry.best_bits.store(best.to_bits(), Ordering::Relaxed);
-    }
+    let initial_best =
+        initial.as_ref().map(|pop| pop.iter().map(|i| i.fitness).fold(f64::INFINITY, f64::min));
 
     // Subtract the budget already spent in earlier incarnations. A job
     // that already met its budget finalizes straight from the snapshot.
@@ -1009,35 +926,29 @@ fn run_job_inner(
             .as_ref()
             .and_then(|pop| pop.iter().min_by(|a, b| a.fitness.total_cmp(&b.fitness)))
         {
-            write_result(
-                entry,
-                &instance,
-                best,
-                base.generations,
-                base.evaluations,
-                base.elapsed_ms,
-                &[],
-            );
+            write_result(entry, &instance, best, &base, &[]);
         }
-        return finalize(mgr, entry, manifest, JobState::Done, None);
+        return finalize(mgr, entry, JobState::Done, None, |m| m.set_progress(&base, initial_best));
     };
     cfg.termination = remaining;
 
-    manifest.state = JobState::Running;
-    let _ = write_json_atomic(&entry.dir.join("manifest.json"), &manifest.to_json(&entry.name));
-    entry.set_state(JobState::Running);
+    // The record restarts from what this incarnation resumes: the loaded
+    // snapshot's counters, or zero on a fresh start.
     let run_started = Instant::now();
-    *entry.run_started.lock() = Some(run_started);
-    append_progress(&entry.dir, &format!("running resumed={resumed} threads={}", cfg.threads));
+    entry.transition(&format!("running resumed={resumed} threads={}", cfg.threads), |record| {
+        record.manifest.state = JobState::Running;
+        record.manifest.set_progress(&base, initial_best);
+        record.run_started = Some(run_started);
+    });
 
     // The checkpoint callback runs on engine thread 0: rotate + write
-    // the snapshot atomically, then persist manifest + live counters.
-    let manifest_cell = Mutex::new(manifest.clone());
+    // the snapshot atomically, then persist the counters it carries.
     let on_checkpoint = |view: &CheckpointView<'_>| {
+        let now = Instant::now();
         let meta = CheckpointMeta {
             generations: base.generations + view.generation,
             evaluations: base.evaluations + view.evaluations,
-            elapsed_ms: base.elapsed_ms + run_started.elapsed().as_millis() as u64,
+            elapsed_ms: base.elapsed_ms + now.duration_since(run_started).as_millis() as u64,
         };
         if let Err(e) =
             checkpoint::save_to_path(&ckpt_path, Some(&prev_path), view.population, &meta)
@@ -1046,103 +957,64 @@ fn run_job_inner(
             return;
         }
         let best = view.best_fitness();
-        // ord: Relaxed — progress mirrors for status queries; the
-        // manifest write below is the durable record.
-        entry.generations.store(meta.generations, Ordering::Relaxed);
-        entry.evaluations.store(meta.evaluations, Ordering::Relaxed);
-        entry.best_bits.store(best.to_bits(), Ordering::Relaxed);
-        entry.set_state(JobState::Checkpointed);
-        {
-            let mut m = manifest_cell.lock();
-            m.state = JobState::Checkpointed;
-            m.generations = meta.generations;
-            m.evaluations = meta.evaluations;
-            m.elapsed_ms = meta.elapsed_ms;
-            m.best = Some(best);
-            let _ = write_json_atomic(&entry.dir.join("manifest.json"), &m.to_json(&entry.name));
-        }
-        append_progress(
-            &entry.dir,
-            &format!("checkpoint gens={} evals={} best={best}", meta.generations, meta.evaluations),
-        );
+        let event =
+            format!("checkpoint gens={} evals={} best={best}", meta.generations, meta.evaluations);
+        entry.transition(&event, |record| {
+            record.manifest.state = JobState::Checkpointed;
+            record.manifest.set_progress(&meta, Some(best));
+            record.run_started = Some(now);
+        });
     };
     let hooks = RunHooks {
-        checkpoint_every: manifest.checkpoint_gens,
+        checkpoint_every: entry.record.lock().manifest.checkpoint_gens,
         on_checkpoint: Some(&on_checkpoint),
         cancel: Some(&entry.cancel),
     };
 
     let engine = PaCga::new(&instance, cfg.clone());
     let (outcome, population) = engine.run_hooked(initial, &hooks);
-    *manifest = manifest_cell.into_inner();
+    let totals = CheckpointMeta {
+        generations: base.generations + outcome.generations.first().copied().unwrap_or(0),
+        evaluations: base.evaluations + outcome.evaluations,
+        elapsed_ms: base.elapsed_ms + run_started.elapsed().as_millis() as u64,
+    };
+    let best = Some(outcome.best.fitness);
+    let progress = |m: &mut Manifest| m.set_progress(&totals, best);
 
-    let total_gens = base.generations + outcome.generations.first().copied().unwrap_or(0);
-    let total_evals = base.evaluations + outcome.evaluations;
-    let total_elapsed = base.elapsed_ms + run_started.elapsed().as_millis() as u64;
-    // ord: Relaxed — post-run mirror updates; the engine threads are
-    // already joined.
-    entry.generations.store(total_gens, Ordering::Relaxed);
-    entry.evaluations.store(total_evals, Ordering::Relaxed);
-    entry.best_bits.store(outcome.best.fitness.to_bits(), Ordering::Relaxed);
-
-    // ord: Relaxed — run_hooked joined the engine threads, whose Acquire
-    // load of the cancel flag ordered the raiser's stop_kind store
-    // before this read (stop raised after the run wound down is caught
-    // here directly; either way the kind is coherent).
-    match entry.stop_kind.load(Ordering::Relaxed) {
-        STOP_USER => finalize(mgr, entry, manifest, JobState::Stopped, None),
-        STOP_DRAIN => {
-            // Park resumable: one final snapshot so the next daemon
-            // loses nothing, manifest left `checkpointed`.
-            let meta = CheckpointMeta {
-                generations: total_gens,
-                evaluations: total_evals,
-                elapsed_ms: total_elapsed,
-            };
-            match checkpoint::save_to_path(&ckpt_path, Some(&prev_path), &population, &meta) {
-                Ok(()) => {
-                    append_progress(&entry.dir, &format!("drain-checkpoint gens={total_gens}"));
-                    manifest.state = JobState::Checkpointed;
-                    manifest.generations = total_gens;
-                    manifest.evaluations = total_evals;
-                    manifest.elapsed_ms = total_elapsed;
-                    manifest.best = Some(outcome.best.fitness);
-                    entry.set_state(JobState::Checkpointed);
-                    // ord: Relaxed — status mirror.
-                    entry.elapsed_base_ms.store(total_elapsed, Ordering::Relaxed);
-                    *entry.run_started.lock() = None;
-                    let _ = write_json_atomic(
-                        &entry.dir.join("manifest.json"),
-                        &manifest.to_json(&entry.name),
-                    );
-                }
-                Err(e) => finalize(
-                    mgr,
-                    entry,
-                    manifest,
-                    JobState::Failed,
-                    Some(format!("drain checkpoint failed: {e}")),
+    // A stop raised after the run wound down is read here all the same.
+    let stop = entry.record.lock().stop;
+    match stop {
+        Some(Stop::User) => finalize(mgr, entry, JobState::Stopped, None, progress),
+        // Park resumable: one final snapshot so the next daemon loses
+        // nothing, manifest left `checkpointed`.
+        Some(Stop::Drain) => {
+            match checkpoint::save_to_path(&ckpt_path, Some(&prev_path), &population, &totals) {
+                Ok(()) => entry.transition(
+                    &format!("drain-checkpoint gens={}", totals.generations),
+                    |record| {
+                        record.manifest.state = JobState::Checkpointed;
+                        progress(&mut record.manifest);
+                        record.run_started = None;
+                    },
                 ),
+                Err(e) => {
+                    let error = Some(format!("drain checkpoint failed: {e}"));
+                    finalize(mgr, entry, JobState::Failed, error, progress)
+                }
             }
         }
-        _ => {
-            write_result(
-                entry,
-                &instance,
-                &outcome.best,
-                total_gens,
-                total_evals,
-                total_elapsed,
-                &outcome.traces,
-            );
+        None => {
+            write_result(entry, &instance, &outcome.best, &totals, &outcome.traces);
             append_progress(
                 &entry.dir,
                 &format!(
-                    "completed makespan={} gens={total_gens} evals={total_evals}",
-                    outcome.best.makespan()
+                    "completed makespan={} gens={} evals={}",
+                    outcome.best.makespan(),
+                    totals.generations,
+                    totals.evaluations
                 ),
             );
-            finalize(mgr, entry, manifest, JobState::Done, None);
+            finalize(mgr, entry, JobState::Done, None, progress);
         }
     }
 }

@@ -591,11 +591,10 @@ impl ScheduleRequest {
         if threads == 0 || threads > 64 {
             return Err("\"threads\" must be in 1..=64".into());
         }
-        let crossover = match field_str(v, "crossover")?.as_deref() {
-            None | Some("tpx") => CrossoverOp::TwoPoint,
-            Some("opx") => CrossoverOp::OnePoint,
-            Some("ux") => CrossoverOp::Uniform,
-            Some(other) => return Err(format!("bad crossover {other:?} (opx|tpx|ux)")),
+        let crossover = match field_str(v, "crossover")? {
+            None => CrossoverOp::TwoPoint,
+            Some(name) => CrossoverOp::from_name(&name)
+                .ok_or_else(|| format!("bad crossover {name:?} (opx|tpx|ux)"))?,
         };
         Ok(ScheduleRequest {
             id: field_str(v, "id")?,

@@ -254,11 +254,11 @@ impl StreamSession {
         if !(2..=32).contains(&grid_side) {
             return Err(corrupt("session.json", format!("grid_side {grid_side}")));
         }
-        let crossover = match meta.get("crossover").and_then(Json::as_str) {
-            Some("opx") => CrossoverOp::OnePoint,
-            Some("ux") => CrossoverOp::Uniform,
-            _ => CrossoverOp::TwoPoint,
-        };
+        let crossover = meta
+            .get("crossover")
+            .and_then(Json::as_str)
+            .and_then(CrossoverOp::from_name)
+            .unwrap_or(CrossoverOp::TwoPoint);
         // The baseline may be changed (or dropped) at resume time.
         let baseline = match &req.baseline {
             Some(_) => resolve_baseline(req.baseline.as_deref())?,
@@ -580,14 +580,7 @@ impl StreamSession {
             ("budget_evals", Json::num(self.budget as f64)),
             ("seed", Json::num(self.seed as f64)),
             ("ls", Json::num(self.ls as f64)),
-            (
-                "crossover",
-                Json::str(match self.crossover {
-                    CrossoverOp::OnePoint => "opx",
-                    CrossoverOp::TwoPoint => "tpx",
-                    CrossoverOp::Uniform => "ux",
-                }),
-            ),
+            ("crossover", Json::str(self.crossover.name())),
             ("grid_side", Json::num(self.grid_side as f64)),
             (
                 "down",

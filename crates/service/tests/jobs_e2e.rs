@@ -251,15 +251,12 @@ fn field_u64(v: &Json, key: &str) -> u64 {
 fn fresh_start_after_lost_checkpoints_persists_the_counters_it_reports() {
     let dir = data_dir("lost-checkpoints");
 
-    // First incarnation: no checkpoint lands on its own; the drain
-    // writes the only one, with the generations run so far.
+    // No checkpoint lands on its own: the drain writes the only one.
     let first = spawn(&dir, 1_000_000);
     let mut client = Client::connect(first.addr()).unwrap();
-    let started = request(&mut client, &job_start_line("fresh-1", 50_000_000, 1_000_000));
-    assert_eq!(started.get("type").unwrap().as_str(), Some("job"), "{started}");
+    request(&mut client, &job_start_line("fresh-1", 50_000_000, 1_000_000));
     wait_for_state(&mut client, "fresh-1", "running");
     std::thread::sleep(Duration::from_millis(200));
-    drop(client);
     first.shutdown();
     first.join();
     let parked = manifest(&dir, "fresh-1");
@@ -267,20 +264,15 @@ fn fresh_start_after_lost_checkpoints_persists_the_counters_it_reports() {
     assert!(field_u64(&parked, "generations") > 0, "the drain ran no generation: {parked}");
 
     // Both snapshots lost: the second incarnation starts from scratch.
-    let job_dir = dir.join("jobs/fresh-1");
-    std::fs::remove_file(job_dir.join("checkpoint.ckpt")).unwrap();
-    let _ = std::fs::remove_file(job_dir.join("checkpoint.prev.ckpt"));
+    std::fs::remove_file(dir.join("jobs/fresh-1/checkpoint.ckpt")).unwrap();
+    let _ = std::fs::remove_file(dir.join("jobs/fresh-1/checkpoint.prev.ckpt"));
     let second = spawn(&dir, 1_000_000);
     let mut client = Client::connect(second.addr()).unwrap();
     let running = wait_for_state(&mut client, "fresh-1", "running");
     let on_disk = manifest(&dir, "fresh-1");
     assert_eq!(on_disk.get("state").and_then(Json::as_str), Some("running"), "{on_disk}");
     for key in ["generations", "evaluations"] {
-        assert_eq!(
-            field_u64(&on_disk, key),
-            field_u64(&running, key),
-            "{key}: manifest {on_disk} vs status {running}"
-        );
+        assert_eq!(field_u64(&on_disk, key), field_u64(&running, key), "{key}: {on_disk}");
     }
 
     request(&mut client, r#"{"type":"job.stop","job":"fresh-1"}"#);
@@ -292,67 +284,51 @@ fn fresh_start_after_lost_checkpoints_persists_the_counters_it_reports() {
 
 #[test]
 fn manifest_already_holds_every_state_status_reports() {
-    // Where a state sits in the lifecycle this test drives; the manifest
-    // may be ahead of a status answer (the job moved on), never behind.
-    fn rank(state: &str) -> usize {
-        ["queued", "running", "checkpointed", "stopped"]
-            .iter()
-            .position(|s| *s == state)
-            .unwrap_or_else(|| panic!("unexpected state {state:?}"))
-    }
-    fn check(dir: &std::path::Path, status: &Json) -> String {
-        let state = status.get("state").and_then(Json::as_str).unwrap().to_string();
-        let on_disk = manifest(dir, "seen-1");
-        let disk_state = on_disk.get("state").and_then(Json::as_str).unwrap();
-        assert!(rank(disk_state) >= rank(&state), "status {status} ahead of manifest {on_disk}");
-        for key in ["generations", "evaluations"] {
-            assert!(
-                field_u64(&on_disk, key) >= field_u64(status, key),
-                "{key}: status {status} ahead of manifest {on_disk}"
-            );
-        }
-        state
-    }
-
     let dir = data_dir("persist-first");
     let handle = spawn(&dir, 1);
     let mut client = Client::connect(handle.addr()).unwrap();
-    let started = request(&mut client, &job_start_line("seen-1", 50_000_000, 1));
-    assert_eq!(started.get("type").unwrap().as_str(), Some("job"), "{started}");
-    check(&dir, &started);
+    request(&mut client, &job_start_line("seen-1", 50_000_000, 1));
 
-    // Checkpoints land every generation; watch a good number of them.
+    // Each answer is checked against the manifest read right after it:
+    // the job may have moved on (manifest ahead), never the other way.
+    let rank = |v: &Json| {
+        let state = v.get("state").and_then(Json::as_str);
+        ["queued", "running", "checkpointed", "stopped"]
+            .iter()
+            .position(|s| Some(*s) == state)
+            .unwrap_or_else(|| panic!("unexpected state in {v}"))
+    };
     let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let v = job_status(&mut client, "seen-1");
-        if check(&dir, &v) == "checkpointed" && field_u64(&v, "generations") >= 50 {
-            break;
+    let mut stop_sent = false;
+    let (stopped, on_disk) = loop {
+        let status = job_status(&mut client, "seen-1");
+        let on_disk = manifest(&dir, "seen-1");
+        assert!(rank(&on_disk) >= rank(&status), "status {status} ahead of {on_disk}");
+        for key in ["generations", "evaluations"] {
+            let (disk, wire) = (field_u64(&on_disk, key), field_u64(&status, key));
+            assert!(disk >= wire, "{key}: status {status} ahead of {on_disk}");
         }
-        assert!(Instant::now() < deadline, "too few checkpoints: {v}");
-    }
-
-    request(&mut client, r#"{"type":"job.stop","job":"seen-1"}"#);
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let stopped = loop {
-        let v = job_status(&mut client, "seen-1");
-        if check(&dir, &v) == "stopped" {
-            break v;
+        match status.get("state").and_then(Json::as_str) {
+            Some("stopped") => break (status, on_disk),
+            // Watch a good number of per-generation checkpoints first.
+            Some("checkpointed") if !stop_sent && field_u64(&status, "generations") >= 50 => {
+                request(&mut client, r#"{"type":"job.stop","job":"seen-1"}"#);
+                stop_sent = true;
+            }
+            _ => {}
         }
-        assert!(Instant::now() < deadline, "never stopped: {v}");
+        assert!(Instant::now() < deadline, "never checkpointed and stopped: {status}");
     };
     // Terminal: nothing moves any more, so disk and wire agree exactly.
-    let on_disk = manifest(&dir, "seen-1");
-    assert_eq!(on_disk.get("state").and_then(Json::as_str), Some("stopped"), "{on_disk}");
+    assert_eq!(rank(&on_disk), rank(&stopped), "{on_disk}");
     for key in ["generations", "evaluations"] {
-        assert_eq!(field_u64(&on_disk, key), field_u64(&stopped, key), "{key}");
+        assert_eq!(field_u64(&on_disk, key), field_u64(&stopped, key), "{key}: {on_disk}");
     }
 
     let archived = request(&mut client, r#"{"type":"job.archive","job":"seen-1"}"#);
     let dest = PathBuf::from(archived.get("archived_to").unwrap().as_str().unwrap());
-    let on_disk =
-        Json::parse(&std::fs::read_to_string(dest.join("manifest.json")).unwrap()).unwrap();
-    assert_eq!(on_disk.get("state").and_then(Json::as_str), Some("stopped"), "{on_disk}");
-    assert_eq!(field_u64(&on_disk, "generations"), field_u64(&stopped, "generations"));
+    let text = std::fs::read_to_string(dest.join("manifest.json")).unwrap();
+    assert_eq!(Json::parse(&text).unwrap(), on_disk, "the archive holds the stopped manifest");
 
     handle.shutdown();
     handle.join();

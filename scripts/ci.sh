@@ -253,6 +253,9 @@ print_summary() {
   done
 }
 
+# Runs from the EXIT trap on any non-zero exit, including a check's own
+# `exit 1` (which fires no ERR trap): stops the stage's daemon and
+# prints the stage summary.
 on_err() {
   local dt=$(( $(date +%s) - STAGE_T0 ))
   [[ -n "$SERVE_PID" ]] && kill "$SERVE_PID" 2>/dev/null || true
@@ -262,7 +265,7 @@ on_err() {
   print_summary
   echo "==> CI FAILED${CURRENT:+ in stage $CURRENT}" >&2
 }
-trap on_err ERR
+trap 'status=$?; [[ $status == 0 ]] || on_err' EXIT
 
 begin "0:fmt" "cargo fmt --check"
 if cargo fmt --version >/dev/null 2>&1; then
