@@ -158,6 +158,47 @@ proptest! {
     }
 }
 
+proptest! {
+    /// The local-search load: rewriting a schedule that held another
+    /// assignment to a gene row gives exactly the from-scratch build (task
+    /// index included) and the slab's completion row, bit for bit, with
+    /// non-zero ready times in every machine's sum.
+    #[test]
+    fn ls_load_matches_build_and_slab(
+        n_tasks in 1usize..48,
+        n_machines in 1usize..9,
+        inst_seed in 0u64..50,
+        consistency in consistency_strategy(),
+        ready_seed in 0u64..u64::MAX,
+        rows in proptest::collection::vec(0u64..u64::MAX, 1..16),
+    ) {
+        let base = gen_instance(n_tasks, n_machines, inst_seed, consistency);
+        let mut rng = SmallRng::seed_from_u64(ready_seed);
+        let ready: Vec<f64> = (0..n_machines).map(|_| rng.gen_range(0.0..5000.0)).collect();
+        let inst = EtcInstance::with_ready_times("ready", base.etc().clone(), ready);
+        let mut batch = OffspringBatch::new(&inst, rows.len());
+        for seed in &rows {
+            let mut row_rng = SmallRng::seed_from_u64(*seed);
+            let r = batch.push_stale();
+            for g in batch.genes_mut(r) {
+                *g = row_rng.gen_range(0..n_machines as u32);
+            }
+        }
+        batch.evaluate(&inst);
+        let mut s = Schedule::random(&inst, &mut rng);
+        for r in 0..rows.len() {
+            let genes = batch.genes(r);
+            s.rewrite_assignment(&inst, |t| genes[t]);
+            prop_assert_eq!(&s, &Schedule::from_assignment(&inst, genes.to_vec()));
+            prop_assert!(s.validate_index().is_ok());
+            for m in 0..n_machines {
+                prop_assert_eq!(s.completion(m).to_bits(), batch.completion_row(r)[m].to_bits());
+            }
+            prop_assert_eq!(s.makespan().to_bits(), batch.fitness(r).to_bits());
+        }
+    }
+}
+
 /// All 12 Braun consistency×heterogeneity classes at full 512×16 scale:
 /// long random operator chains stay bit-identical to the oracle, checked
 /// at every step.
