@@ -89,7 +89,7 @@ pub(crate) fn evolve_block<P: Population>(
     // Reusable scratch: the offspring batch slab, a local-search schedule,
     // the neighborhood snapshot, H2LL machine ordering, sweep order, and a
     // parent-2 gene buffer. No allocation inside the hot loop.
-    let mut offspring = pop.with_cell(block.start, Individual::clone);
+    let mut ls_schedule = pop.with_cell(block.start, |cell| cell.schedule.clone());
     let mut snapshot: Vec<(u32, f64)> = Vec::with_capacity(cfg.neighborhood.size());
     let mut ls_scratch: Vec<usize> = Vec::with_capacity(instance.n_machines());
     let mut order: Vec<usize> = Vec::with_capacity(block.len());
@@ -169,28 +169,30 @@ pub(crate) fn evolve_block<P: Population>(
             }
 
             // Stage 2 — evaluate(offspring), batched: one cache-hot pass
-            // re-derives every stale row's completion times and fitness.
-            batch.evaluate(instance);
+            // re-derives the completion times and fitness of every stale
+            // row that skips local search. A local-search row is priced
+            // once, when stage 3 loads it into the scratch schedule.
+            batch.evaluate_rows(instance, |j| !meta[j].1);
 
             // Stage 3 — H2LL, replacement, sharded accounting per cell.
             for (j, &(i, ls)) in meta.iter().enumerate() {
                 let k = kbase + j;
                 let fitness = if ls {
-                    // H2LL(p_ser, iter, offspring) needs a materialized
-                    // schedule (task index + tracked argmax).
-                    batch.materialize_into(instance, j, &mut offspring.schedule);
-                    offspring.fitness = batch.fitness(j);
+                    // H2LL(p_ser, iter, offspring) needs a full schedule
+                    // (task index + tracked argmax): one rebuild from the
+                    // row's genes.
+                    let genes = batch.genes(j);
+                    ls_schedule.rewrite_assignment(instance, |t| genes[t]);
                     cfg.local_search.expect("ls flag implies operator").apply_with_scratch(
                         instance,
-                        &mut offspring.schedule,
+                        &mut ls_schedule,
                         &mut rng,
                         &mut ls_scratch,
                     );
                     if cfg.delta_eval {
-                        offspring.evaluate()
+                        ls_schedule.makespan()
                     } else {
-                        offspring.fitness = offspring.schedule.makespan_full();
-                        offspring.fitness
+                        ls_schedule.makespan_full()
                     }
                 } else if cfg.delta_eval {
                     batch.fitness(j)
@@ -199,19 +201,20 @@ pub(crate) fn evolve_block<P: Population>(
                 };
                 pending += 1;
 
-                // replace(ind, offspring). Accepted non-LS rows
-                // materialize straight from the slab into the cell —
-                // a deferred-index install: the cell's CSR index is read
-                // by nothing mid-run (parents export genes + CT only), so
-                // the counting sort waits for the run-exit
-                // `ensure_index` pass.
+                // replace(ind, offspring). An accepted offspring's genes
+                // and CT land in the cell — from the scratch schedule after
+                // local search, from the slab otherwise — as a
+                // deferred-index install: the cell's CSR index is read by
+                // nothing mid-run (parents export genes + CT only), so the
+                // counting sort waits for the run-exit `ensure_index` pass.
                 let accepted = pop.replace(i, fitness, cfg.replacement, |cell| {
-                    if ls {
-                        cell.copy_from(&offspring);
+                    let (genes, ct) = if ls {
+                        (ls_schedule.assignment(), ls_schedule.completion_times())
                     } else {
-                        batch.materialize_into_deferred(instance, j, &mut cell.schedule);
-                        cell.fitness = fitness;
-                    }
+                        (batch.genes(j), batch.completion_row(j))
+                    };
+                    cell.schedule.load_evaluated_deferred(instance, genes, ct);
+                    cell.fitness = fitness;
                 });
                 replacements += u64::from(accepted);
 

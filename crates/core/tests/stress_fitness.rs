@@ -126,9 +126,9 @@ fn sharded_accounting_is_exact_under_generation_budget() {
 /// than, equal to, and wider than a thread's block — an 8-thread run
 /// must publish no torn or stale fitness through the atomic mirrors.
 /// Every surviving individual's cached fitness must be bit-identical to
-/// its schedule's makespan AND to a from-scratch oracle recompute (the
-/// slab rows were installed by `load_evaluated`, so a stale-row or
-/// wrong-row materialization would surface here).
+/// its schedule's makespan AND to a from-scratch oracle recompute (every
+/// accepted offspring was installed by `load_evaluated_deferred`, so a
+/// stale-row or wrong-row install would surface here).
 #[test]
 fn batched_evaluation_publishes_consistent_fitness_across_widths() {
     let inst = EtcInstance::toy(48, 6);

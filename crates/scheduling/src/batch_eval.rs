@@ -16,7 +16,8 @@
 //! [`Schedule::renormalize`], and the bucket-exact
 //! [`Schedule::move_task`] — so slab results are bit-identical to any
 //! from-scratch recompute and rows can be installed into a [`Schedule`]
-//! via [`Schedule::load_evaluated`] without re-touching the ETC matrix.
+//! via [`Schedule::load_evaluated_deferred`] without re-touching the ETC
+//! matrix.
 
 use crate::Schedule;
 use etc_model::EtcInstance;
@@ -131,6 +132,7 @@ impl OffspringBatch {
     #[inline]
     pub fn completion_row(&self, row: usize) -> &[f64] {
         debug_assert!(row < self.len);
+        debug_assert!(self.evaluated[row], "row {row} is stale");
         &self.completion[row * self.n_machines..(row + 1) * self.n_machines]
     }
 
@@ -167,9 +169,17 @@ impl OffspringBatch {
     /// ETC row is loaded once and applied to all stale rows before moving
     /// on — the cache-hot inner loop this type exists for.
     pub fn evaluate(&mut self, instance: &EtcInstance) {
+        self.evaluate_rows(instance, |_| true);
+    }
+
+    /// [`OffspringBatch::evaluate`] restricted to the stale rows `wanted`
+    /// accepts; the others stay stale. The engines skip the rows that go
+    /// on to local search, which are priced when they are loaded into its
+    /// scratch schedule.
+    pub fn evaluate_rows(&mut self, instance: &EtcInstance, mut wanted: impl FnMut(usize) -> bool) {
         self.stale.clear();
         for r in 0..self.len {
-            if !self.evaluated[r] {
+            if !self.evaluated[r] && wanted(r) {
                 self.stale.push(r as u32);
             }
         }
@@ -222,27 +232,6 @@ impl OffspringBatch {
             .copied()
             .fold(f64::NEG_INFINITY, f64::max);
         self.evaluated[row] = true;
-    }
-
-    /// Installs an evaluated row into `schedule` (index + argmax rebuilt,
-    /// ETC untouched) via [`Schedule::load_evaluated`].
-    pub fn materialize_into(&self, instance: &EtcInstance, row: usize, schedule: &mut Schedule) {
-        assert!(self.evaluated[row], "materializing a stale row");
-        schedule.load_evaluated(instance, self.genes(row), self.completion_row(row));
-    }
-
-    /// [`OffspringBatch::materialize_into`] without the index rebuild
-    /// ([`Schedule::load_evaluated_deferred`]): the engines' replacement
-    /// hot path, where nothing reads the resident cell's index before the
-    /// run-exit [`Schedule::ensure_index`] pass.
-    pub fn materialize_into_deferred(
-        &self,
-        instance: &EtcInstance,
-        row: usize,
-        schedule: &mut Schedule,
-    ) {
-        assert!(self.evaluated[row], "materializing a stale row");
-        schedule.load_evaluated_deferred(instance, self.genes(row), self.completion_row(row));
     }
 
     /// Oracle fitness for a row: a fresh [`Schedule::from_assignment`]
@@ -320,7 +309,7 @@ mod tests {
     }
 
     #[test]
-    fn materialize_round_trips_through_schedule() {
+    fn install_round_trips_through_schedule() {
         let inst = EtcInstance::toy(24, 5);
         let mut rng = SmallRng::seed_from_u64(13);
         let genes: Vec<u32> = (0..24).map(|_| rng.gen_range(0..5u32)).collect();
@@ -329,9 +318,22 @@ mod tests {
         batch.genes_mut(r).copy_from_slice(&genes);
         batch.evaluate(&inst);
         let mut s = Schedule::round_robin(&inst);
-        batch.materialize_into(&inst, r, &mut s);
-        assert_eq!(s, Schedule::from_assignment(&inst, genes));
+        s.load_evaluated_deferred(&inst, batch.genes(r), batch.completion_row(r));
         assert_eq!(s.makespan().to_bits(), batch.fitness(r).to_bits());
+        s.ensure_index();
+        assert_eq!(s, Schedule::from_assignment(&inst, genes));
+    }
+
+    #[test]
+    fn evaluate_rows_leaves_unwanted_rows_stale() {
+        let inst = EtcInstance::toy(24, 5);
+        let mut batch = OffspringBatch::new(&inst, 3);
+        for _ in 0..3 {
+            batch.push_stale();
+        }
+        batch.evaluate_rows(&inst, |r| r != 1);
+        assert!(batch.is_evaluated(0) && batch.is_evaluated(2));
+        assert!(!batch.is_evaluated(1));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The `S` + `CT` solution representation with incremental updates.
 
-use etc_model::EtcInstance;
+use etc_model::{EtcInstance, EtcMatrix};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -25,22 +25,21 @@ use serde::{Deserialize, Serialize};
 ///
 /// The task index mirrors the assignment in **CSR form** (DESIGN.md §7):
 /// one flat `bucket_tasks` array holding every task grouped by machine
-/// (ascending task order within each machine's slice), a per-machine
-/// offset array `bucket_start` bounding each slice, and a backmap
-/// `pos[t]` giving `t`'s offset inside its machine's slice. It makes
+/// (ascending task order within each machine's slice) and a per-machine
+/// offset array `bucket_start` bounding each slice. It makes
 /// [`Schedule::count_on`] O(1), [`Schedule::tasks_on`] an allocation-free
 /// slice borrow, and [`Schedule::random_task_on`] an O(1) pick — the
 /// operator hot paths that previously re-scanned the whole assignment.
+/// There are no back-pointers: a move finds its task by binary search in
+/// the sorted slice it leaves.
 ///
-/// The flat layout means a `Schedule` is five flat buffers and nothing
-/// else: [`Schedule::copy_from`] — which runs three times per cell
-/// evolution in the engines, twice under a read lock — is five
-/// `copy_from_slice` calls with zero nested allocation or pointer
-/// chasing, and index rebuilds are an allocation-free counting
-/// sort. Keeping slices sorted costs one contiguous `memmove`
-/// over the gap between the two touched machines per move, and buys a
-/// canonical layout: two schedules with equal assignments have
-/// bit-identical indices.
+/// A `Schedule` is four flat buffers and nothing else:
+/// [`Schedule::copy_from`] is four `copy_from_slice` calls with no
+/// nested allocation or pointer chasing, and an index rebuild is an
+/// allocation-free counting sort that writes one array. Keeping slices
+/// sorted costs one contiguous `memmove` from the moved task's old slot to
+/// its new one, and buys a canonical layout: two schedules with equal
+/// assignments have bit-identical indices.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Schedule {
     /// `assignment[t] = m`: task `t` runs on machine `m`.
@@ -55,14 +54,6 @@ pub struct Schedule {
     /// `bucket_tasks[bucket_start[m]..bucket_start[m + 1]]`.
     /// `n_machines + 1` entries; first is 0, last is `n_tasks`.
     bucket_start: Vec<u32>,
-    /// `pos[t]`: offset of task `t` within its machine's slice.
-    pos: Vec<u32>,
-    /// Per-machine write cursors for the counting-sort rebuild — pure
-    /// scratch, excluded from `PartialEq` and serialization (its
-    /// leftover contents depend on rebuild history, not the schedule's
-    /// value).
-    #[serde(skip)]
-    cursors: Vec<u32>,
     /// Index of a machine whose completion time equals the makespan —
     /// maintained by every mutator so [`Schedule::makespan`] is O(1).
     /// Excluded from `PartialEq` (two equal schedules may cache different
@@ -72,7 +63,8 @@ pub struct Schedule {
     max_machine: u32,
     /// Set by [`Schedule::load_evaluated_deferred`]: the CSR index does
     /// not match `assignment` yet. Index readers debug-assert this is
-    /// false; [`Schedule::ensure_index`] clears it. Deferred schedules
+    /// false; every full rebuild ([`Schedule::ensure_index`],
+    /// [`Schedule::rewrite_assignment`]) clears it. Deferred schedules
     /// exist only inside the engines' population cells mid-run (the
     /// replacement hot path skips the counting sort for offspring whose
     /// index nothing will read); every public exit point re-indexes.
@@ -80,16 +72,14 @@ pub struct Schedule {
     index_stale: bool,
 }
 
-/// Value equality: the five semantic buffers. `cursors` is rebuild
-/// scratch and deliberately ignored — two schedules reaching the same
-/// assignment through different histories must compare equal.
+/// Value equality: the four buffers. The cached argmax and the stale
+/// flag are bookkeeping, not value.
 impl PartialEq for Schedule {
     fn eq(&self, other: &Self) -> bool {
         self.assignment == other.assignment
             && self.completion == other.completion
             && self.bucket_tasks == other.bucket_tasks
             && self.bucket_start == other.bucket_start
-            && self.pos == other.pos
     }
 }
 
@@ -102,40 +92,32 @@ impl Schedule {
     /// Panics if the assignment length differs from the instance's task
     /// count or any machine index is out of range.
     pub fn from_assignment(instance: &EtcInstance, assignment: Vec<u32>) -> Self {
-        assert_eq!(assignment.len(), instance.n_tasks(), "one machine per task");
-        let n_machines = instance.n_machines();
-        let mut completion: Vec<f64> = instance.ready_times().to_vec();
+        let (n_tasks, n_machines) = (instance.n_tasks(), instance.n_machines());
+        assert_eq!(assignment.len(), n_tasks, "one machine per task");
         for (t, &m) in assignment.iter().enumerate() {
-            let m = m as usize;
-            assert!(m < n_machines, "task {t} assigned to machine {m} of {n_machines}");
-            completion[m] += instance.etc().etc_on(m, t);
+            assert!((m as usize) < n_machines, "task {t} assigned to machine {m} of {n_machines}");
         }
         let mut s = Self {
             assignment,
-            completion,
-            bucket_tasks: Vec::new(),
-            bucket_start: Vec::new(),
-            pos: Vec::new(),
-            cursors: Vec::new(),
+            completion: vec![0.0; n_machines],
+            bucket_tasks: vec![0; n_tasks],
+            bucket_start: vec![0; n_machines + 1],
             max_machine: 0,
             index_stale: false,
         };
+        s.renormalize(instance);
         s.rebuild_index();
-        s.rescan_max();
         s
     }
 
     /// Rebuilds the task index from the assignment: an allocation-free
-    /// counting sort in O(T + M). Placing tasks in ascending order leaves
-    /// every machine's slice sorted.
+    /// counting sort in O(T + M).
     fn rebuild_index(&mut self) {
-        let n_machines = self.completion.len();
-        self.bucket_start.resize(n_machines + 1, 0);
         self.bucket_start.fill(0);
         for &m in &self.assignment {
-            self.bucket_start[m as usize] += 1;
+            self.bucket_start[m as usize + 1] += 1;
         }
-        self.place_counted();
+        place_counted(&self.assignment, &mut self.bucket_start, &mut self.bucket_tasks);
         self.index_stale = false;
     }
 
@@ -148,88 +130,34 @@ impl Schedule {
         }
     }
 
-    /// The counting sort's prefix-sum + placement half: expects
-    /// `bucket_start[m]` to hold machine `m`'s task *count* (the callers'
-    /// fused first pass computes it), leaves the full CSR index built.
-    fn place_counted(&mut self) {
-        let n_tasks = self.assignment.len();
-        let n_machines = self.completion.len();
-        self.bucket_tasks.resize(n_tasks, 0);
-        self.pos.resize(n_tasks, 0);
-        self.cursors.resize(n_machines, 0);
-        // Counts -> exclusive starts, with a cursor copy so local offsets
-        // fall out of the placement pass itself (pos = cursor - start).
-        let mut start = 0u32;
-        for m in 0..n_machines {
-            let count = self.bucket_start[m];
-            self.bucket_start[m] = start;
-            self.cursors[m] = start;
-            start += count;
-        }
-        self.bucket_start[n_machines] = start;
-        for t in 0..n_tasks {
-            let m = self.assignment[t] as usize;
-            let slot = self.cursors[m];
-            self.bucket_tasks[slot as usize] = t as u32;
-            self.pos[t] = slot - self.bucket_start[m];
-            self.cursors[m] = slot + 1;
-        }
-    }
-
     /// Relocates `task` from `old`'s slice to its sorted position inside
-    /// `new`'s slice. The tasks *between* the two slices shift by one slot
-    /// wholesale (a single contiguous `copy_within`) but keep their local
-    /// offsets — only their machines' start offsets move — so back-pointer
-    /// fix-ups touch just the two affected slices, fused into the same
-    /// pass as their shifts.
+    /// `new`'s slice. Both positions come from a binary search of a sorted
+    /// slice; everything between them shifts one slot towards the vacated
+    /// one in a single `copy_within`, and only the start offsets of the
+    /// machines in between move.
     fn index_move(&mut self, task: usize, old: usize, new: usize) {
         debug_assert_ne!(old, new);
         debug_assert!(!self.index_stale, "incremental move on a deferred-load schedule");
-        let gp = self.bucket_start[old] as usize + self.pos[task] as usize;
-        debug_assert_eq!(self.bucket_tasks[gp] as usize, task);
-        let s_new = self.bucket_start[new] as usize;
-        let e_new = self.bucket_start[new + 1] as usize;
-        let lp = self.bucket_tasks[s_new..e_new].partition_point(|&t| (t as usize) < task);
+        let key = task as u32;
+        let starts = &mut self.bucket_start;
+        let tasks = &mut self.bucket_tasks;
+        let (s_old, s_new) = (starts[old] as usize, starts[new] as usize);
+        let from = s_old + tasks[s_old..starts[old + 1] as usize].partition_point(|&t| t < key);
+        debug_assert_eq!(tasks[from], key);
+        let to = s_new + tasks[s_new..starts[new + 1] as usize].partition_point(|&t| t < key);
         if old < new {
-            // Old slice's tail shifts left one slot; fix its back-pointers
-            // in the same pass.
-            let e_old = self.bucket_start[old + 1] as usize;
-            for i in gp..e_old - 1 {
-                let t = self.bucket_tasks[i + 1];
-                self.bucket_tasks[i] = t;
-                self.pos[t as usize] -= 1;
-            }
-            // Slices strictly between (plus `new`'s prefix) shift left
-            // wholesale; local offsets unchanged.
-            let gi = s_new + lp - 1;
-            self.bucket_tasks.copy_within(e_old..gi + 1, e_old - 1);
-            // `new`'s tail stays put but gains a predecessor.
-            for i in gi + 1..e_new {
-                self.pos[self.bucket_tasks[i] as usize] += 1;
-            }
-            self.bucket_tasks[gi] = task as u32;
-            for m in old + 1..=new {
-                self.bucket_start[m] -= 1;
+            tasks.copy_within(from + 1..to, from);
+            tasks[to - 1] = key;
+            for start in &mut starts[old + 1..=new] {
+                *start -= 1;
             }
         } else {
-            // Mirror image: everything between shifts right one slot.
-            let e_old = self.bucket_start[old + 1] as usize;
-            for i in gp + 1..e_old {
-                self.pos[self.bucket_tasks[i] as usize] -= 1;
-            }
-            self.bucket_tasks.copy_within(e_new..gp, e_new + 1);
-            let gi = s_new + lp;
-            for i in (gi..e_new).rev() {
-                let t = self.bucket_tasks[i];
-                self.bucket_tasks[i + 1] = t;
-                self.pos[t as usize] += 1;
-            }
-            self.bucket_tasks[gi] = task as u32;
-            for m in new + 1..=old {
-                self.bucket_start[m] += 1;
+            tasks.copy_within(to..from, to + 1);
+            tasks[to] = key;
+            for start in &mut starts[new + 1..=old] {
+                *start += 1;
             }
         }
-        self.pos[task] = lp as u32;
     }
 
     /// A uniformly random schedule.
@@ -407,30 +335,27 @@ impl Schedule {
 
     /// Overwrites the whole assignment (`assignment[t] = f(t)`), then
     /// recomputes `CT` and the task index from scratch in O(T + M) — the
-    /// bulk path for operators that rewrite many genes at once (crossover),
-    /// where per-gene incremental index maintenance would cost more than a
-    /// single rebuild.
+    /// bulk path for operators that rewrite many genes at once (crossover)
+    /// and the engines' load of an offspring into local search's scratch
+    /// schedule. One pass writes the genes, sums `CT` in ascending task
+    /// order (bit-identical to [`crate::OffspringBatch`]'s slab) and counts
+    /// tasks per machine; the counting sort's placement pass follows.
     ///
     /// # Panics
     ///
     /// Panics (in debug builds) if `f` returns an out-of-range machine.
-    pub fn rewrite_assignment(&mut self, instance: &EtcInstance, mut f: impl FnMut(usize) -> u32) {
-        let n_machines = self.completion.len();
-        let etc = instance.etc();
-        // One fused pass: write the gene, accumulate its ETC into the
-        // fresh CT vector, and count it for the index's counting sort.
+    pub fn rewrite_assignment(&mut self, instance: &EtcInstance, f: impl FnMut(usize) -> u32) {
         self.completion.copy_from_slice(instance.ready_times());
-        self.bucket_start.resize(n_machines + 1, 0);
         self.bucket_start.fill(0);
-        for t in 0..self.assignment.len() {
-            let m = f(t);
-            debug_assert!((m as usize) < n_machines, "task {t} assigned to machine {m}");
-            self.assignment[t] = m;
-            let m = m as usize;
-            self.completion[m] += etc.etc_on(m, t);
-            self.bucket_start[m] += 1;
-        }
-        self.place_counted();
+        load_counted(
+            instance.etc(),
+            &mut self.assignment,
+            &mut self.completion,
+            &mut self.bucket_start,
+            f,
+        );
+        place_counted(&self.assignment, &mut self.bucket_start, &mut self.bucket_tasks);
+        self.index_stale = false;
         self.rescan_max();
     }
 
@@ -508,8 +433,8 @@ impl Schedule {
 
     /// Validates the task index against the assignment: offsets monotone
     /// and spanning exactly `0..n_tasks`, every machine's slice sorted,
-    /// back-pointers exact, and slice membership agreeing with the
-    /// assignment. O(T + M); used by the invariant checker.
+    /// and slice membership agreeing with the assignment. O(T + M); used
+    /// by the invariant checker.
     pub fn validate_index(&self) -> Result<(), String> {
         let n_tasks = self.assignment.len();
         let n_machines = self.completion.len();
@@ -520,11 +445,10 @@ impl Schedule {
                 n_machines + 1
             ));
         }
-        if self.bucket_tasks.len() != n_tasks || self.pos.len() != n_tasks {
+        if self.bucket_tasks.len() != n_tasks {
             return Err(format!(
-                "index holds {} tasks / {} back-pointers, assignment has {n_tasks}",
-                self.bucket_tasks.len(),
-                self.pos.len()
+                "index holds {} tasks, assignment has {n_tasks}",
+                self.bucket_tasks.len()
             ));
         }
         if self.bucket_start[0] != 0 || self.bucket_start[n_machines] as usize != n_tasks {
@@ -551,12 +475,6 @@ impl Schedule {
                         self.assignment[t]
                     ));
                 }
-                if self.pos[t] as usize != p {
-                    return Err(format!(
-                        "pos[{t}] = {} but task sits at bucket[{m}][{p}]",
-                        self.pos[t]
-                    ));
-                }
                 if p > 0 && self.bucket_tasks[s + p - 1] >= t as u32 {
                     return Err(format!("bucket[{m}] not strictly ascending at offset {p}"));
                 }
@@ -580,45 +498,17 @@ impl Schedule {
         self.rescan_max();
     }
 
-    /// Loads an externally evaluated solution — a gene row plus the
-    /// per-machine completion times a batch evaluation pass
-    /// ([`crate::OffspringBatch`]) already computed — rebuilding the task
-    /// index and argmax without re-touching the ETC matrix. The caller
-    /// guarantees `completion` is the canonical ascending-task-order
-    /// accumulation for `assignment`; debug builds verify that bitwise.
-    pub fn load_evaluated(
-        &mut self,
-        instance: &EtcInstance,
-        assignment: &[u32],
-        completion: &[f64],
-    ) {
-        assert_eq!(assignment.len(), self.assignment.len(), "task count mismatch");
-        assert_eq!(completion.len(), self.completion.len(), "machine count mismatch");
-        self.assignment.copy_from_slice(assignment);
-        self.completion.copy_from_slice(completion);
-        self.rebuild_index();
-        self.rescan_max();
-        #[cfg(debug_assertions)]
-        {
-            let mut check = instance.ready_times().to_vec();
-            for (t, &m) in self.assignment.iter().enumerate() {
-                check[m as usize] += instance.etc().etc_on(m as usize, t);
-            }
-            debug_assert!(
-                check.iter().zip(&self.completion).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "loaded completion times are not the canonical accumulation"
-            );
-        }
-        let _ = instance;
-    }
-
-    /// [`Schedule::load_evaluated`] minus the index rebuild: genes and
-    /// completion times land, the argmax is refreshed, and the CSR index
-    /// is left **stale** (readers debug-assert against it) until
-    /// [`Schedule::ensure_index`]. This is the engines' replacement hot
-    /// path — an accepted non-local-search offspring's index is read by
-    /// nothing mid-run, so the counting sort is deferred to the one
-    /// fix-up pass at run exit.
+    /// Loads an externally evaluated solution — a gene row plus its
+    /// per-machine completion times, from the batch slab
+    /// ([`crate::OffspringBatch`]) or from local search's scratch schedule
+    /// — without touching the ETC matrix. The argmax is refreshed and the
+    /// CSR index is left **stale** (readers debug-assert against it) until
+    /// [`Schedule::ensure_index`]. This is the engines' one replacement
+    /// install: an accepted offspring's index is read by nothing mid-run,
+    /// so the counting sort is deferred to the one fix-up pass at run
+    /// exit. The caller guarantees `completion` is the canonical
+    /// ascending-task-order accumulation for `assignment`; debug builds
+    /// verify that bitwise.
     pub fn load_evaluated_deferred(
         &mut self,
         instance: &EtcInstance,
@@ -631,22 +521,72 @@ impl Schedule {
         self.completion.copy_from_slice(completion);
         self.index_stale = true;
         self.rescan_max();
+        #[cfg(debug_assertions)]
+        {
+            let mut check = instance.ready_times().to_vec();
+            for (t, &m) in assignment.iter().enumerate() {
+                check[m as usize] += instance.etc().etc_on(m as usize, t);
+            }
+            debug_assert!(
+                check.iter().zip(completion).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "loaded completion times are not the canonical accumulation"
+            );
+        }
         let _ = instance;
     }
 
     /// Copies another schedule's contents into this one without
-    /// allocating: five flat `copy_from_slice` calls (the CSR layout has
-    /// no nested buffers) — the hot path for parent snapshots and
-    /// replacement, which the engines run three times per cell evolution,
-    /// twice of them under a read lock.
+    /// allocating: four flat `copy_from_slice` calls (the CSR layout has
+    /// no nested buffers).
     pub fn copy_from(&mut self, other: &Schedule) {
         self.assignment.copy_from_slice(&other.assignment);
         self.completion.copy_from_slice(&other.completion);
         self.bucket_tasks.copy_from_slice(&other.bucket_tasks);
         self.bucket_start.copy_from_slice(&other.bucket_start);
-        self.pos.copy_from_slice(&other.pos);
         self.max_machine = other.max_machine;
         self.index_stale = other.index_stale;
+    }
+}
+
+/// The fused first pass of a full rebuild: `assignment[t] = gene(t)`,
+/// each task's ETC added to its machine's completion time in ascending
+/// task order, and the task counted into `counts[m + 1]` for
+/// [`place_counted`]. `completion` must hold the ready times and `counts`
+/// zeros on entry.
+fn load_counted(
+    etc: &EtcMatrix,
+    assignment: &mut [u32],
+    completion: &mut [f64],
+    counts: &mut [u32],
+    mut gene: impl FnMut(usize) -> u32,
+) {
+    for (t, slot) in assignment.iter_mut().enumerate() {
+        let m = gene(t);
+        debug_assert!((m as usize) < completion.len(), "task {t} assigned to machine {m}");
+        *slot = m;
+        completion[m as usize] += etc.etc_on(m as usize, t);
+        counts[m as usize + 1] += 1;
+    }
+}
+
+/// The counting sort's placement half. On entry `starts[m + 1]` holds
+/// machine `m`'s task count and `starts[0]` is 0; on exit `starts` holds
+/// the CSR offsets and `tasks` every task grouped by machine. Placing
+/// tasks in ascending order leaves every slice sorted.
+fn place_counted(assignment: &[u32], starts: &mut [u32], tasks: &mut [u32]) {
+    // Counts -> exclusive prefix sums, one slot to the right: `starts[m + 1]`
+    // becomes `m`'s first slot, then serves as `m`'s write cursor and ends
+    // at `m`'s end, which is `m + 1`'s start.
+    let mut sum = 0;
+    for start in &mut starts[1..] {
+        let count = *start;
+        *start = sum;
+        sum += count;
+    }
+    for (t, &m) in assignment.iter().enumerate() {
+        let cursor = &mut starts[m as usize + 1];
+        tasks[*cursor as usize] = t as u32;
+        *cursor += 1;
     }
 }
 
@@ -824,6 +764,22 @@ mod tests {
     }
 
     #[test]
+    fn rewrite_after_deferred_load_leaves_a_fresh_index() {
+        // A full rebuild over a deferred-load schedule must clear the stale
+        // flag: the index it just built is readable, and `ensure_index`
+        // has nothing left to do.
+        let inst = toy();
+        let fresh = Schedule::from_assignment(&inst, vec![2, 1, 0, 1]);
+        let mut s = Schedule::round_robin(&inst);
+        s.load_evaluated_deferred(&inst, fresh.assignment(), fresh.completion_times());
+        let target = [0u32, 0, 1, 2];
+        s.rewrite_assignment(&inst, |t| target[t]);
+        assert!(!s.index_stale, "rewrite_assignment left the index marked stale");
+        assert_eq!(s.count_on(0), 2);
+        assert_eq!(s, Schedule::from_assignment(&inst, target.to_vec()));
+    }
+
+    #[test]
     fn validate_index_reports_corrupt_offsets_without_panicking() {
         let inst = toy();
         let mut s = Schedule::from_assignment(&inst, vec![0, 1, 2, 0]);
@@ -873,15 +829,27 @@ mod tests {
     }
 
     #[test]
-    fn load_evaluated_rebuilds_index_and_argmax() {
+    fn deferred_load_then_ensure_index_rebuilds_index_and_argmax() {
         let inst = toy();
         let fresh = Schedule::from_assignment(&inst, vec![2, 1, 0, 1]);
         let mut s = Schedule::round_robin(&inst);
-        s.load_evaluated(&inst, fresh.assignment(), fresh.completion_times());
-        assert_eq!(s, fresh);
+        s.load_evaluated_deferred(&inst, fresh.assignment(), fresh.completion_times());
         assert_eq!(s.makespan().to_bits(), fresh.makespan().to_bits());
         assert_eq!(s.makespan().to_bits(), s.makespan_full().to_bits());
+        s.ensure_index();
+        assert_eq!(s, fresh);
         assert!(s.validate_index().is_ok());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not the canonical accumulation")]
+    fn deferred_load_rejects_non_canonical_completion_in_debug() {
+        let inst = toy();
+        let fresh = Schedule::from_assignment(&inst, vec![2, 1, 0, 1]);
+        let mut ct = fresh.completion_times().to_vec();
+        ct[1] += 1.0;
+        Schedule::round_robin(&inst).load_evaluated_deferred(&inst, fresh.assignment(), &ct);
     }
 
     #[test]
