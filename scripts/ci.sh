@@ -254,11 +254,23 @@ print_summary() {
 }
 
 # Runs from the EXIT trap on any non-zero exit, including a check's own
-# `exit 1` (which fires no ERR trap): stops the stage's daemon and
-# prints the stage summary.
+# `exit 1` (which fires no ERR trap): stops the stage's daemon, removes
+# the temp paths the stages made (a stage removes its own only on
+# success) and prints the stage summary.
 on_err() {
   local dt=$(( $(date +%s) - STAGE_T0 ))
   [[ -n "$SERVE_PID" ]] && kill "$SERVE_PID" 2>/dev/null || true
+  # Give the daemon up to 5 s to exit before its data dir goes.
+  for _ in $(seq 1 50); do
+    [[ -n "$SERVE_PID" ]] && kill -0 "$SERVE_PID" 2>/dev/null || break
+    sleep 0.1
+  done
+  # The log goes too, so show it if a daemon was up when the stage failed.
+  if [[ -n "$SERVE_PID" && -s "${SERVE_LOG:-}" ]]; then
+    echo "==> daemon log:" >&2
+    cat "$SERVE_LOG" >&2
+  fi
+  rm -rf "${PERF_DIR:-}" "${SERVE_LOG:-}" "${JOBS_DIR:-}" "${CHAOS_DIR:-}" "${CORPUS_DIR:-}"
   if [[ -n "$CURRENT" ]]; then
     SUMMARY+=("$(printf '  %-10s %4ds  %s' "$CURRENT" "$dt" "FAILED")")
   fi
