@@ -486,8 +486,9 @@ impl Schedule {
     /// Recomputes `CT` from scratch. Historically this discarded
     /// accumulated floating-point drift from `±etc` incremental updates;
     /// under the canonical-CT invariant it is a provable no-op on the
-    /// cached values (the drift test pins that to the ULP) and survives
-    /// as the oracle path for the differential suite.
+    /// cached values (the drift test pins that to the ULP). It is the
+    /// `CT` sum of [`Schedule::from_assignment`], the oracle the
+    /// differential suite builds.
     pub fn renormalize(&mut self, instance: &EtcInstance) {
         let etc = instance.etc();
         self.completion.copy_from_slice(instance.ready_times());
