@@ -2,15 +2,21 @@
 //! tasks before committing one of them (Min-min, Max-min, Sufferage).
 //!
 //! The naive formulation re-evaluates every unassigned task's best machine
-//! every round — O(T²·M). But committing one task changes exactly **one**
-//! machine's load, and loads only ever *increase*: a cached (best,
-//! second-best) pair for a task stays exact unless the committed machine
-//! *is* that task's best or second-best. The drivers here exploit that —
-//! each task's choice is computed once up front (O(T·M)) and re-scanned
-//! only when the machine it was pinned to changed load, collapsing the
-//! common case to ~O(T·M + T²). Results are bit-identical to the naive
-//! scan (kept as [`min_min_scan`] / [`max_min_scan`] / [`sufferage_scan`]
-//! for A/B benchmarks and equivalence tests).
+//! every round — O(T²·M). Two drivers here avoid that, with results
+//! bit-identical to the naive scan (kept as [`min_min_scan`] /
+//! [`max_min_scan`] / [`sufferage_scan`], the oracles of the equivalence
+//! tests):
+//!
+//! - **Min-min** sorts each machine's ETC column once. A round's smallest
+//!   completion is then the least of M column heads, so after an
+//!   O(M·T log T) sort a round costs O(M).
+//! - **Max-min and Sufferage** use the cached-choice driver. Committing
+//!   one task changes exactly **one** machine's load, and loads only ever
+//!   *increase*: a cached (best, second-best) pair for a task stays exact
+//!   unless the committed machine *is* that task's best or second-best.
+//!   Each task's choice is computed once up front (O(T·M)) and re-scanned
+//!   only when the machine it was pinned to changed load, collapsing the
+//!   common case to ~O(T·M + T²).
 
 use etc_model::EtcInstance;
 use scheduling::Schedule;
@@ -68,7 +74,8 @@ fn choice_for(instance: &EtcInstance, loads: &[f64], task: usize) -> TaskChoice 
 
 /// Which task a round commits, given every unassigned task's cached
 /// choice. All three rules are a strict first-wins arg-extremum, so the
-/// indexed and scan drivers share them verbatim.
+/// indexed and scan drivers share them verbatim. Min-min's rule serves
+/// only the scan driver: Min-min itself runs on [`min_min_sorted`].
 #[derive(Debug, Clone, Copy)]
 enum CommitRule {
     /// Smallest best completion time first (Min-min).
@@ -105,7 +112,7 @@ impl CommitRule {
 /// 1. `machine`/`completion` are always exact, with the scan driver's
 ///    tie-break (lowest machine index wins equal completions).
 /// 2. For Sufferage, `second_machine`/`second_completion` are also exact.
-/// 3. For Min-min/Max-min, `second_completion` is only a **lower bound**
+/// 3. For Max-min, `second_completion` is only a **lower bound**
 ///    on the best completion among non-`machine` machines (selection
 ///    never reads it). When the committed machine is a task's cached
 ///    best, one ETC read re-prices it: if the new completion is still
@@ -186,11 +193,129 @@ fn iterative_scan(instance: &EtcInstance, rule: CommitRule) -> Schedule {
     Schedule::from_assignment(instance, assignment)
 }
 
+/// Min-min's driver: every machine's ETC column is sorted once, so a
+/// round reads M column heads instead of re-pricing every unassigned
+/// task. Exact against the scan driver, round by round:
+///
+/// 1. **The round's best completion.** `load + x` is monotone in `x`
+///    under f64 rounding, so a machine's cheapest unassigned task (its
+///    column head) gives its smallest completion, and the least of the M
+///    heads is the least of the scan's T·M prices.
+/// 2. **The task.** The scan commits the first task in `unassigned`
+///    order whose best completion equals that minimum. Only a *tied*
+///    machine (one whose head reaches the minimum) prices any task at
+///    it, and on a tied column those tasks lie in the run from the head
+///    while `load + ETC` still equals it. The search walks those runs and
+///    `unassigned` from the front in lock-step, and stops as soon as
+///    either settles the answer: the front walk at the first tied task it
+///    meets, the runs once all of them are walked. A round where every
+///    task ties thus stops at position 0. `unassigned` keeps the scan's
+///    order, `swap_remove` positions included.
+/// 3. **The machine.** The lowest-index tied machine that prices the
+///    task at the minimum, as the scan's first-wins `choice_for` picks.
+///
+/// Cost: an O(M·T log T) sort, then O(M) per round (each column head
+/// passes each committed task once in total) plus the tie search, which
+/// reads two entries per tied machine unless completions tie exactly.
+fn min_min_sorted(instance: &EtcInstance) -> Schedule {
+    let n = instance.n_tasks();
+    let etc = instance.etc();
+    let mut loads: Vec<f64> = instance.ready_times().to_vec();
+    let mut assignment = vec![0u32; n];
+    let mut committed = vec![false; n];
+    // Column m is `columns[m * n..][..n]`: tasks by ascending ETC on m,
+    // ties by task index. ETC entries are positive and finite, so their
+    // bit patterns order as their values do; a key packs them above the
+    // task index, and the column keeps the index.
+    let mut columns: Vec<u32> = Vec::with_capacity(n * loads.len());
+    let mut keys: Vec<u128> = Vec::with_capacity(n);
+    for m in 0..loads.len() {
+        keys.clear();
+        keys.extend(
+            etc.machine_row(m)
+                .iter()
+                .enumerate()
+                .map(|(t, x)| u128::from(x.to_bits()) << 32 | t as u128),
+        );
+        keys.sort_unstable();
+        columns.extend(keys.iter().map(|&k| k as u32));
+    }
+    let column = |m: usize| &columns[m * n..][..n];
+    let mut head = vec![0usize; loads.len()];
+    let mut unassigned: Vec<u32> = (0..n as u32).collect();
+    let mut pos: Vec<u32> = (0..n as u32).collect();
+    let mut tied: Vec<usize> = Vec::with_capacity(loads.len());
+
+    while !unassigned.is_empty() {
+        let mut best = f64::INFINITY;
+        tied.clear();
+        for (m, h) in head.iter_mut().enumerate() {
+            while committed[column(m)[*h] as usize] {
+                *h += 1;
+            }
+            let c = loads[m] + etc.etc_on(m, column(m)[*h] as usize);
+            if tied.is_empty() || c < best {
+                best = c;
+                tied.clear();
+                tied.push(m);
+            } else if c == best {
+                tied.push(m);
+            }
+        }
+
+        // Step 2: `found` is the least position seen on the tied runs;
+        // every position below `front` holds a task priced above `best`.
+        let prices_best = |t: usize| tied.iter().any(|&m| loads[m] + etc.etc_on(m, t) == best);
+        let mut found = usize::MAX;
+        let mut front = 0;
+        let (mut k, mut i) = (0, head[tied[0]]);
+        let at = loop {
+            let Some(&m) = tied.get(k) else { break found };
+            match column(m).get(i) {
+                Some(&t) if loads[m] + etc.etc_on(m, t as usize) == best => {
+                    if !committed[t as usize] {
+                        found = found.min(pos[t as usize] as usize);
+                    }
+                    i += 1;
+                }
+                _ => {
+                    k += 1;
+                    if let Some(&next) = tied.get(k) {
+                        i = head[next];
+                    }
+                }
+            }
+            if front == found {
+                break found;
+            }
+            if prices_best(unassigned[front] as usize) {
+                break front;
+            }
+            front += 1;
+        };
+
+        let task = unassigned[at] as usize;
+        let machine = tied
+            .iter()
+            .copied()
+            .find(|&m| loads[m] + etc.etc_on(m, task) == best)
+            .expect("the committed task prices at the round's best on a tied machine");
+        assignment[task] = machine as u32;
+        committed[task] = true;
+        loads[machine] += etc.etc_on(machine, task);
+        unassigned.swap_remove(at);
+        if let Some(&moved) = unassigned.get(at) {
+            pos[moved as usize] = at as u32;
+        }
+    }
+    Schedule::from_assignment(instance, assignment)
+}
+
 /// Min-min (Ibarra & Kim 1977): commit the task whose best completion time
 /// is **smallest**. The PA-CGA paper seeds one individual with this
 /// schedule (Table 1).
 pub fn min_min(instance: &EtcInstance) -> Schedule {
-    iterative(instance, CommitRule::MinMin)
+    min_min_sorted(instance)
 }
 
 /// Max-min: commit the task whose best completion time is **largest**
@@ -341,11 +466,17 @@ mod tests {
 pub fn duplex(instance: &EtcInstance) -> Schedule {
     let a = min_min(instance);
     let b = max_min(instance);
-    if a.makespan() <= b.makespan() {
+    if duplex_keeps_min_min(&a, &b) {
         a
     } else {
         b
     }
+}
+
+/// Duplex's rule: keep the Min-min schedule `a` unless the Max-min
+/// schedule `b` has a strictly smaller makespan.
+pub(crate) fn duplex_keeps_min_min(a: &Schedule, b: &Schedule) -> bool {
+    a.makespan() <= b.makespan()
 }
 
 #[cfg(test)]
