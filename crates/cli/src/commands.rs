@@ -207,8 +207,8 @@ pub fn cmd_info(args: &Args) -> Result<String, CliError> {
 pub fn cmd_heuristics(args: &Args) -> Result<String, CliError> {
     let instance = load_instance(args)?;
     let mut table = Table::new(&["heuristic", "makespan"]);
-    for h in Heuristic::all() {
-        table.row(&[h.name().to_string(), format!("{:.1}", h.schedule(&instance).makespan())]);
+    for (h, s) in Heuristic::all().into_iter().zip(heuristics::cohort(&instance)) {
+        table.row(&[h.name().to_string(), format!("{:.1}", s.makespan())]);
     }
     Ok(format!("{} ({})\n\n{}", instance.name(), blazewicz_notation(&instance), table.render()))
 }

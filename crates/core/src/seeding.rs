@@ -7,7 +7,6 @@
 //! baselines).
 
 use etc_model::EtcInstance;
-use heuristics::Heuristic;
 use scheduling::Schedule;
 use serde::{Deserialize, Serialize};
 
@@ -20,7 +19,8 @@ pub enum Seeding {
     /// Individual 0 is the Min-min schedule (the paper's choice).
     MinMin,
     /// The first individuals are built by *every* deterministic heuristic
-    /// (OLB, MET, MCT, Min-min, Max-min, Sufferage, Duplex), in that order.
+    /// (OLB, MET, MCT, Min-min, Max-min, Sufferage, Duplex), in that order
+    /// ([`heuristics::cohort`]).
     AllHeuristics,
 }
 
@@ -40,9 +40,7 @@ impl Seeding {
         match self {
             Seeding::Random => Vec::new(),
             Seeding::MinMin => vec![heuristics::min_min(instance)],
-            Seeding::AllHeuristics => {
-                Heuristic::all().iter().map(|h| h.schedule(instance)).collect()
-            }
+            Seeding::AllHeuristics => heuristics::cohort(instance).into(),
         }
     }
 }
@@ -56,6 +54,7 @@ impl std::fmt::Display for Seeding {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use heuristics::Heuristic;
 
     #[test]
     fn random_injects_nothing() {

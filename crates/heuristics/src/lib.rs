@@ -18,6 +18,8 @@
 //! | [`max_min`] | repeatedly schedule the task with the *largest* best completion time |
 //! | [`sufferage`] | repeatedly schedule the task that would *suffer* most if denied its best machine |
 //! | [`duplex`] | better of Min-min and Max-min |
+//!
+//! [`cohort`] builds all of them at once, in [`Heuristic::all`] order.
 
 pub mod immediate;
 pub mod iterative;
@@ -88,6 +90,21 @@ impl Heuristic {
             Heuristic::Duplex => duplex(instance),
         }
     }
+}
+
+/// Every heuristic's schedule, in [`Heuristic::all`] order: equal, entry
+/// for entry, to `Heuristic::all().map(|h| h.schedule(instance))`. Duplex
+/// is taken from the Min-min and Max-min schedules just built instead of
+/// running both again.
+pub fn cohort(instance: &EtcInstance) -> [Schedule; 7] {
+    let min_min = min_min(instance);
+    let max_min = max_min(instance);
+    let duplex = if iterative::duplex_keeps_min_min(&min_min, &max_min) {
+        min_min.clone()
+    } else {
+        max_min.clone()
+    };
+    [olb(instance), met(instance), mct(instance), min_min, max_min, sufferage(instance), duplex]
 }
 
 impl std::fmt::Display for Heuristic {

@@ -83,6 +83,8 @@ struct WarmRun {
     chunks: Vec<(u64, f64)>,
     /// Generations summed over the chunks.
     generations: u64,
+    /// The session baseline's makespan, read from the immigrant cohort.
+    baseline_makespan: Option<f64>,
 }
 
 /// A typed stream failure: machine-readable code + human detail.
@@ -418,7 +420,7 @@ impl StreamSession {
             (cold, cold_ms, warm, recovery_ms)
         });
         let cold_makespan = cold_outcome.best.makespan();
-        let WarmRun { pop, repair_makespan, chunks, generations } = warm;
+        let WarmRun { pop, repair_makespan, chunks, generations, baseline_makespan } = warm;
         let (spent, warm_best) = chunks.last().copied().unwrap_or((0, repair_makespan));
         self.evaluations += cold_outcome.evaluations + spent;
         self.generations += generations;
@@ -455,7 +457,6 @@ impl StreamSession {
         self.evals_saved_sum += self.budget.saturating_sub(recovery_evals);
         self.recovery.record(sample);
 
-        let baseline_makespan = self.baseline.map(|h| h.schedule(&sub).makespan());
         let assignment = if self.include_assignment {
             best_assignment(&pop).and_then(|genes| self.grid.to_global(genes))
         } else {
@@ -514,8 +515,14 @@ impl StreamSession {
         // warm run keeps its elite AND the diversity a cold restart gets
         // for free.
         ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let cohort = heuristics::cohort(sub);
+        let baseline_makespan = Heuristic::all()
+            .into_iter()
+            .zip(&cohort)
+            .find(|&(h, _)| Some(h) == self.baseline)
+            .map(|(_, s)| s.makespan());
         let immigrants: Vec<Vec<u32>> =
-            Heuristic::all().iter().map(|h| h.schedule(sub).assignment().to_vec()).collect();
+            cohort.into_iter().map(|s| s.assignment().to_vec()).collect();
         let keep = ranked.len().saturating_sub(immigrants.len()).max(1);
         let local: Vec<Vec<u32>> =
             ranked.into_iter().take(keep).map(|(_, genes)| genes).chain(immigrants).collect();
@@ -538,7 +545,7 @@ impl StreamSession {
             chunks.push((spent, outcome.best.makespan()));
             pop = next;
         }
-        WarmRun { pop, repair_makespan, chunks, generations }
+        WarmRun { pop, repair_makespan, chunks, generations, baseline_makespan }
     }
 
     /// Persists the session: world, meta, population. Atomic per file.
@@ -893,18 +900,24 @@ mod tests {
 
     #[test]
     fn baseline_is_reported_per_event() {
-        let req = decode_open(
-            r#"{"type":"stream.open","etc_model":{"tasks":16,"machines":4,"seed":1},"evals":200,"grid":3,"baseline":"min-min","assignment":true}"#,
-        );
-        let (mut s, _) = StreamSession::open(req, None).expect("open");
-        let r = s
-            .handle_event(decode_event(
-                r#"{"type":"stream.event","seq":0,"event":{"kind":"etc.drift","epsilon":0.3,"seed":4}}"#,
-            ))
-            .expect("drift");
-        assert_eq!(r.baseline.as_deref(), Some("min-min"));
-        assert!(r.baseline_makespan.is_some_and(f64::is_finite));
-        let a = r.assignment.expect("assignment requested");
-        assert_eq!(a.len(), 16);
+        // Every baseline reads its makespan from the warm run's cohort;
+        // it must equal that heuristic run alone on the post-event world.
+        for h in Heuristic::all() {
+            let req = decode_open(&format!(
+                r#"{{"type":"stream.open","etc_model":{{"tasks":16,"machines":4,"seed":1}},"evals":200,"grid":3,"baseline":"{}","assignment":true}}"#,
+                h.name()
+            ));
+            let (mut s, _) = StreamSession::open(req, None).expect("open");
+            let r = s
+                .handle_event(decode_event(
+                    r#"{"type":"stream.event","seq":0,"event":{"kind":"etc.drift","epsilon":0.3,"seed":4}}"#,
+                ))
+                .expect("drift");
+            assert_eq!(r.baseline.as_deref(), Some(h.name()));
+            let alone = h.schedule(&s.grid.sub_instance()).makespan();
+            assert_eq!(r.baseline_makespan.map(f64::to_bits), Some(alone.to_bits()), "{h}");
+            let a = r.assignment.expect("assignment requested");
+            assert_eq!(a.len(), 16);
+        }
     }
 }
