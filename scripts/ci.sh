@@ -25,7 +25,8 @@
 #   2 test   cargo test -q (unit + property + integration + doc tests)
 #   2b delta delta-oracle differential gate: the incremental-evaluation
 #            suites (prop_delta, prop_operators, delta_toggle,
-#            stress_fitness), the engine bit pins (engine_pins) and the
+#            stress_fitness), the engine bit pins (engine_pins), the
+#            heuristics crate's driver-vs-scan oracle tests and the
 #            request decoder's wire pins and fuzz smoke (decode_pins,
 #            fuzz_smoke) re-run under --release, where float codegen
 #            differs from debug — bit-identity, including the JSON number
@@ -312,6 +313,7 @@ finish
 
 begin "2b:delta" "delta-oracle differential gate (--release)"
 cargo test -q --release -p scheduling --test prop_delta
+cargo test -q --release -p heuristics
 cargo test -q --release -p pa_cga_core \
   --test prop_operators --test delta_toggle --test stress_fitness \
   --test engine_pins
