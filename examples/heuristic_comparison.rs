@@ -19,7 +19,7 @@ fn main() {
     for name in braun_instance_names() {
         let instance = braun_instance(name);
         let makespans: Vec<f64> =
-            Heuristic::all().iter().map(|h| h.schedule(&instance).makespan()).collect();
+            pa_cga::heur::cohort(&instance).iter().map(|s| s.makespan()).collect();
         let best = makespans.iter().copied().fold(f64::INFINITY, f64::min);
         let mut row = vec![name.to_string()];
         row.extend(makespans.iter().map(|&m| {
