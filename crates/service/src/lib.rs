@@ -13,7 +13,9 @@
 //! * **Request batching** — queued requests coalesce into one portfolio
 //!   submission per scheduler pass ([`server`]).
 //! * **Memoization** — an instance-digest LRU cache answers repeated
-//!   identical requests without re-running the engine ([`cache`]).
+//!   identical requests without re-running the engine ([`cache`]); a
+//!   hit on an inline matrix the daemon has already accepted skips its
+//!   number scan and digest ([`seen`]).
 //! * **Backpressure** — a bounded queue; overflow gets an explicit
 //!   `busy` response instead of unbounded buffering.
 //! * **Graceful drain** — `shutdown` stops intake, finishes everything
@@ -51,6 +53,7 @@ pub mod jobs;
 pub mod json;
 pub mod loadgen;
 pub mod protocol;
+pub mod seen;
 pub mod server;
 pub mod store;
 pub mod stream;

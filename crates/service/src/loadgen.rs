@@ -112,11 +112,13 @@ impl std::fmt::Display for LoadReport {
             let n = |k: &str| stats.get(k).and_then(Json::as_u64).unwrap_or(0);
             writeln!(
                 f,
-                "server   : cache {} hits / {} misses ({} entries), {} batches (max {}), \
-                 {} evaluations",
+                "server   : cache {} hits / {} misses ({} entries), {} unscanned hits \
+                 ({} known matrices), {} batches (max {}), {} evaluations",
                 n("cache_hits"),
                 n("cache_misses"),
                 n("cache_entries"),
+                n("unscanned_hits"),
+                n("known_matrices"),
                 n("batches"),
                 n("max_batch"),
                 n("evaluations"),

@@ -7,7 +7,9 @@
 //! acceptor ──spawns──▶ one handler thread per connection
 //!                          │  parse line → control requests answered
 //!                          │  inline; a schedule request is resolved,
-//!                          │  checked and digested here, then a
+//!                          │  checked and digested here (from the
+//!                          │  seen-matrix table when its inline matrix
+//!                          │  text was accepted before), then a
 //!                          │  hit-only cache lookup: a hit is answered
 //!                          │  on this thread; a miss is try_enqueue'd
 //!                          ▼
@@ -36,6 +38,7 @@
 use crate::cache::{CachedRun, ScheduleCache};
 use crate::jobs::JobManager;
 use crate::protocol::{Request, Response, ScheduleRequest, StatsSnapshot, StreamOpenRequest};
+use crate::seen::{KnownSchedule, Lookup, MatrixKey, SeenMatrices};
 use crate::store::{StoreBuilder, StoreReader};
 use crate::stream::StreamSession;
 use etc_model::EtcInstance;
@@ -119,6 +122,9 @@ struct Metrics {
     batches: AtomicU64,
     max_batch: AtomicU64,
     evaluations: AtomicU64,
+    /// Cache hits answered from the seen-matrix table, their matrix
+    /// neither scanned nor hashed.
+    unscanned_hits: AtomicU64,
 }
 
 impl Metrics {
@@ -152,6 +158,8 @@ struct Shared {
     shutdown: AtomicBool,
     metrics: Metrics,
     cache: Mutex<ScheduleCache>,
+    /// Inline matrix texts accepted so far (bounded by `--cache-cap`).
+    matrices: SeenMatrices,
     conns: Mutex<usize>,
     conns_cv: Condvar,
     /// Read-half handles of every live connection, keyed by connection
@@ -243,6 +251,7 @@ impl Shared {
         let batches = self.metrics.batches.load(Ordering::Relaxed);
         let max_batch = self.metrics.max_batch.load(Ordering::Relaxed);
         let evaluations = self.metrics.evaluations.load(Ordering::Relaxed);
+        let unscanned_hits = self.metrics.unscanned_hits.load(Ordering::Relaxed);
         let jobs = self.jobs.as_ref().map(|j| j.counters()).unwrap_or_default();
         StatsSnapshot {
             uptime_s,
@@ -255,6 +264,8 @@ impl Shared {
             cache_entries,
             cache_capacity,
             cache_persisted: self.cache_persisted,
+            unscanned_hits,
+            known_matrices: self.matrices.len(),
             coalesced,
             batches,
             max_batch,
@@ -464,6 +475,7 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
         shutdown: AtomicBool::new(false),
         metrics: Metrics::default(),
         cache: Mutex::new(cache),
+        matrices: SeenMatrices::new(config.cache_cap),
         conns: Mutex::new(0),
         conn_streams: Mutex::new(std::collections::HashMap::new()),
         next_conn: AtomicU64::new(0),
@@ -559,79 +571,13 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         if line.trim().is_empty() {
             continue;
         }
-        let response = match Request::decode(&line) {
-            Err(message) => {
-                Metrics::bump(&shared.metrics.errors);
-                Response::Error { id: None, message }
-            }
-            Ok(Request::Ping) => Response::Ok { message: "pong".into() },
-            Ok(Request::Stats) => Response::Stats(Box::new(shared.snapshot())),
-            Ok(Request::Shutdown) => {
-                shared.trigger_shutdown();
-                Response::Ok { message: "draining".into() }
-            }
-            Ok(Request::Schedule(request)) => handle_schedule(shared, *request),
-            Ok(Request::JobStart(request)) => match &shared.jobs {
-                None => job_support_missing(shared),
-                Some(jobs) => match jobs.start(*request) {
-                    Ok(body) => Response::Job(Box::new(body)),
-                    Err(reason) if reason == "draining" => {
-                        Metrics::bump(&shared.metrics.busy);
-                        Response::Busy { reason }
-                    }
-                    Err(message) => job_error(shared, message),
-                },
-            },
-            Ok(Request::JobStatus { job }) => match &shared.jobs {
-                None => job_support_missing(shared),
-                Some(jobs) => match jobs.status(&job) {
-                    Ok(body) => Response::Job(Box::new(body)),
-                    Err(message) => job_error(shared, message),
-                },
-            },
-            Ok(Request::JobLog { job, tail }) => match &shared.jobs {
-                None => job_support_missing(shared),
-                Some(jobs) => match jobs.log(&job, tail) {
-                    Ok(lines) => Response::JobLog { job, lines },
-                    Err(message) => job_error(shared, message),
-                },
-            },
-            Ok(Request::JobStop { job }) => match &shared.jobs {
-                None => job_support_missing(shared),
-                Some(jobs) => match jobs.stop(&job) {
-                    Ok(body) => Response::Job(Box::new(body)),
-                    Err(message) => job_error(shared, message),
-                },
-            },
-            Ok(Request::JobArchive { job }) => match &shared.jobs {
-                None => job_support_missing(shared),
-                Some(jobs) => match jobs.archive(&job) {
-                    Ok(body) => Response::Job(Box::new(body)),
-                    Err(message) => job_error(shared, message),
-                },
-            },
-            Ok(Request::JobList) => match &shared.jobs {
-                None => job_support_missing(shared),
-                Some(jobs) => Response::JobList { jobs: jobs.list() },
-            },
-            Ok(Request::StreamOpen(request)) => handle_stream_open(shared, *request, &mut session),
-            Ok(Request::StreamEvent(request)) => match session.as_mut() {
-                None => stream_error(shared, "no_session", "no open stream session", None),
-                Some(s) => match s.handle_event(*request) {
-                    Ok(body) => Response::StreamResult(body),
-                    Err((code, message)) => {
-                        let expected = Some(s.expected_seq());
-                        stream_error(shared, &code, message, expected)
-                    }
-                },
-            },
-            Ok(Request::StreamClose) => match session.take() {
-                None => stream_error(shared, "no_session", "no open stream session", None),
-                Some(s) => {
-                    release_stream_name(shared, &s);
-                    Response::StreamClosed(s.close())
-                }
-            },
+        let (known, seen) = match shared.matrices.lookup(&line) {
+            Lookup::Known(known) => (handle_known(shared, *known), None),
+            Lookup::Unknown(key) => (None, key),
+        };
+        let response = match known {
+            Some(response) => response,
+            None => answer_line(shared, &line, seen, &mut session),
         };
         if writeln!(writer, "{}", response.encode()).and_then(|_| writer.flush()).is_err() {
             break;
@@ -645,43 +591,111 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     }
 }
 
+/// Decodes `line` in full and answers it. `seen` is the key of its
+/// first `etc` text when the seen-matrix table lacked it.
+fn answer_line(
+    shared: &Arc<Shared>,
+    line: &str,
+    seen: Option<MatrixKey>,
+    session: &mut Option<StreamSession>,
+) -> Response {
+    match Request::decode(line) {
+        Err(message) => {
+            Metrics::bump(&shared.metrics.errors);
+            Response::Error { id: None, message }
+        }
+        Ok(Request::Ping) => Response::Ok { message: "pong".into() },
+        Ok(Request::Stats) => Response::Stats(Box::new(shared.snapshot())),
+        Ok(Request::Shutdown) => {
+            shared.trigger_shutdown();
+            Response::Ok { message: "draining".into() }
+        }
+        Ok(Request::Schedule(request)) => handle_schedule(shared, *request, seen),
+        Ok(Request::JobStart(request)) => match &shared.jobs {
+            None => job_support_missing(shared),
+            Some(jobs) => match jobs.start(*request) {
+                Ok(body) => Response::Job(Box::new(body)),
+                Err(reason) if reason == "draining" => {
+                    Metrics::bump(&shared.metrics.busy);
+                    Response::Busy { reason }
+                }
+                Err(message) => job_error(shared, message),
+            },
+        },
+        Ok(Request::JobStatus { job }) => match &shared.jobs {
+            None => job_support_missing(shared),
+            Some(jobs) => match jobs.status(&job) {
+                Ok(body) => Response::Job(Box::new(body)),
+                Err(message) => job_error(shared, message),
+            },
+        },
+        Ok(Request::JobLog { job, tail }) => match &shared.jobs {
+            None => job_support_missing(shared),
+            Some(jobs) => match jobs.log(&job, tail) {
+                Ok(lines) => Response::JobLog { job, lines },
+                Err(message) => job_error(shared, message),
+            },
+        },
+        Ok(Request::JobStop { job }) => match &shared.jobs {
+            None => job_support_missing(shared),
+            Some(jobs) => match jobs.stop(&job) {
+                Ok(body) => Response::Job(Box::new(body)),
+                Err(message) => job_error(shared, message),
+            },
+        },
+        Ok(Request::JobArchive { job }) => match &shared.jobs {
+            None => job_support_missing(shared),
+            Some(jobs) => match jobs.archive(&job) {
+                Ok(body) => Response::Job(Box::new(body)),
+                Err(message) => job_error(shared, message),
+            },
+        },
+        Ok(Request::JobList) => match &shared.jobs {
+            None => job_support_missing(shared),
+            Some(jobs) => Response::JobList { jobs: jobs.list() },
+        },
+        Ok(Request::StreamOpen(request)) => handle_stream_open(shared, *request, session),
+        Ok(Request::StreamEvent(request)) => match session.as_mut() {
+            None => stream_error(shared, "no_session", "no open stream session", None),
+            Some(s) => match s.handle_event(*request) {
+                Ok(body) => Response::StreamResult(body),
+                Err((code, message)) => {
+                    let expected = Some(s.expected_seq());
+                    stream_error(shared, &code, message, expected)
+                }
+            },
+        },
+        Ok(Request::StreamClose) => match session.take() {
+            None => stream_error(shared, "no_session", "no open stream session", None),
+            Some(s) => {
+                release_stream_name(shared, &s);
+                Response::StreamClosed(s.close())
+            }
+        },
+    }
+}
+
 /// Answers one `schedule` request on its connection's thread: the
 /// instance checks, the pool check and the digest run here, and so does
 /// a cache hit. An inline matrix is checked and digested straight from
-/// its decoded cells, so a hit builds no instance. Only a miss resolves
+/// its decoded cells, so a hit builds no instance; once accepted, its
+/// text enters the seen-matrix table under `seen`. Only a miss resolves
 /// the instance and goes through the queue to the scheduler thread.
-fn handle_schedule(shared: &Arc<Shared>, request: ScheduleRequest) -> Response {
-    // ord: Relaxed — advisory intake gate, same contract as the stream
-    // gate: once the drain has begun, nothing new is answered, hit or
-    // not. A request that slips past a concurrent drain is either a hit
-    // (answered before the connection closes) or meets try_enqueue's
-    // re-check under the queue mutex.
-    if shared.shutdown.load(Ordering::Relaxed) {
-        Metrics::bump(&shared.metrics.busy);
-        return Response::Busy { reason: "draining".into() };
+fn handle_schedule(
+    shared: &Arc<Shared>,
+    request: ScheduleRequest,
+    seen: Option<MatrixKey>,
+) -> Response {
+    if let Some(busy) = drain_gate(shared) {
+        return busy;
     }
     // Bad instances are answered immediately, never queued.
-    let digest = match request.checked_digest() {
+    let digest = match shared.matrices.checked_digest(&request, seen) {
         Ok(digest) => digest,
         Err(message) => return schedule_error(shared, request.id, message),
     };
-    // A request may not ask for more engine threads than the pool has
-    // slots: the weight would clamp but the engine would still spawn
-    // every thread, oversubscribing the host.
-    if request.threads > shared.workers {
-        let message = format!(
-            "\"threads\" = {} exceeds the server's worker pool ({})",
-            request.threads, shared.workers
-        );
-        return schedule_error(shared, request.id, message);
-    }
-    // Hit-only lookup: a miss is counted by the scheduler's own lookup,
-    // so every request is counted exactly once, as a hit or a miss.
-    let hit = shared.cache.lock().hit(digest);
-    if let Some(run) = hit {
-        Metrics::bump(&shared.metrics.received);
-        Metrics::bump(&shared.metrics.completed);
-        return result_response(&request, &request.instance_name(), &run, true, false);
+    if let Some(response) = refusal_or_hit(shared, &request, digest) {
+        return response;
     }
     // `checked_digest` ran the same checks, so this cannot fail; a
     // failure is still answered, never unwrapped.
@@ -699,6 +713,60 @@ fn handle_schedule(shared: &Arc<Shared>, request: ScheduleRequest) -> Response {
             Response::Error { id: None, message: "scheduler unavailable".into() }
         }),
     }
+}
+
+/// Answers a `schedule` line whose matrix text the seen-matrix table
+/// knew, if that takes no matrix: the drain gate, the pool check and a
+/// cache hit run as in [`handle_schedule`]. A miss is `None`, and the
+/// line takes the full path.
+fn handle_known(shared: &Arc<Shared>, known: KnownSchedule) -> Option<Response> {
+    if let Some(busy) = drain_gate(shared) {
+        return Some(busy);
+    }
+    let response = refusal_or_hit(shared, &known.request, known.digest)?;
+    if matches!(response, Response::Result { .. }) {
+        Metrics::bump(&shared.metrics.unscanned_hits);
+    }
+    Some(response)
+}
+
+/// `busy` once the drain has begun.
+fn drain_gate(shared: &Arc<Shared>) -> Option<Response> {
+    // ord: Relaxed — advisory intake gate, same contract as the stream
+    // gate: once the drain has begun, nothing new is answered, hit or
+    // not. A request that slips past a concurrent drain is either a hit
+    // (answered before the connection closes) or meets try_enqueue's
+    // re-check under the queue mutex.
+    if shared.shutdown.load(Ordering::Relaxed) {
+        Metrics::bump(&shared.metrics.busy);
+        return Some(Response::Busy { reason: "draining".into() });
+    }
+    None
+}
+
+/// After the digest: the pool check's error, or the answer to a cache
+/// hit; `None` for a miss.
+fn refusal_or_hit(
+    shared: &Arc<Shared>,
+    request: &ScheduleRequest,
+    digest: u64,
+) -> Option<Response> {
+    // A request may not ask for more engine threads than the pool has
+    // slots: the weight would clamp but the engine would still spawn
+    // every thread, oversubscribing the host.
+    if request.threads > shared.workers {
+        let message = format!(
+            "\"threads\" = {} exceeds the server's worker pool ({})",
+            request.threads, shared.workers
+        );
+        return Some(schedule_error(shared, request.id.clone(), message));
+    }
+    // Hit-only lookup: a miss is counted by the scheduler's own lookup,
+    // so every request is counted exactly once, as a hit or a miss.
+    let run = shared.cache.lock().hit(digest)?;
+    Metrics::bump(&shared.metrics.received);
+    Metrics::bump(&shared.metrics.completed);
+    Some(result_response(request, &request.instance_name(), &run, true, false))
 }
 
 /// Counts and answers a `schedule` request refused before the queue.

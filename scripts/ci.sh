@@ -75,7 +75,9 @@
 #            --corpus answers a request cold, drains (carrying every
 #            stored record through and persisting the cache), and a
 #            *second* daemon on the same store must answer the same
-#            digest cached:true on its very first request; `pacga
+#            digest cached:true on its very first request, and the
+#            same request twice more (once under another id) from the
+#            seen-matrix table, 2 unscanned hits in `stats`; `pacga
 #            corpus verify` then re-checks every record CRC and index,
 #            and the `corpus ls` instance lines must be identical before
 #            and after the two daemons
@@ -616,6 +618,20 @@ RESP="$(corpus_rpc "$REQ")"
 echo "warm: $RESP"
 grep -q '"cached":true' <<<"$RESP" \
   || { echo "corpus gate: restart lost the memoized answer" >&2; exit 1; }
+# The first warm request entered its matrix text into the seen-matrix
+# table; the same request again, and under another id, must be answered
+# from it (no number scan) with the first warm answer.
+WARM="$(sed 's/"id":[^,]*,//' <<<"$RESP")"
+REQ_ID="${REQ%\}},\"id\":\"again\"}"
+for AGAIN in "$REQ" "$REQ_ID"; do
+  RESP2="$(corpus_rpc "$AGAIN")"
+  echo "known: $RESP2"
+  [[ "$(sed 's/"id":[^,]*,//' <<<"$RESP2")" == "$WARM" ]] \
+    || { echo "corpus gate: a known-matrix hit answered differently" >&2; exit 1; }
+done
+STATS="$(corpus_rpc '{"type":"stats"}')"
+grep -q '"unscanned_hits":2,' <<<"$STATS" \
+  || { echo "corpus gate: expected 2 unscanned hits: $STATS" >&2; exit 1; }
 corpus_rpc '{"type":"shutdown"}' >/dev/null
 wait "$SERVE_PID"
 SERVE_PID=""
