@@ -7,20 +7,14 @@
 //! key order; the writer emits compact one-line output so every encoded
 //! value is a valid JSON-lines frame.
 //!
-//! One scanner serves three consumers. [`Json::parse`] builds a [`Json`]
+//! One scanner serves two consumers. [`Json::parse`] builds a [`Json`]
 //! tree. `parse_flat` walks the same grammar over a request line but
 //! collects two top-level keys straight into flat `f64` buffers: the
 //! first `matrix_key` into one row-major [`FlatMatrix`], the first
 //! `vector_key` into a `Vec<f64>`. Only the other fields become `Json`
-//! values. Both share every byte-level routine, so a document fails
-//! with the same message at the same byte either way, and the nesting
-//! cap counts the same levels. The third, `scan_known`, is `parse_flat`
-//! with a span finder in place of the matrix scan: it finds where the
-//! first `matrix_key` value ends by bracket depth alone, eight bytes at
-//! a time, and shows its caller that span's bytes. Only when the caller
-//! already knows those bytes (it accepted the same text before) does the
-//! scan step over them and go on; any other case stops the scan, and the
-//! caller parses the line in full.
+//! values. Both consumers share every byte-level routine, so a document
+//! fails with the same message at the same byte either way, and the
+//! nesting cap counts the same levels.
 //!
 //! Numbers follow the RFC 8259 §6 grammar exactly:
 //! `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`. So `01`,
@@ -319,122 +313,6 @@ pub(crate) fn parse_flat(
         })?;
         Ok(FlatObject { fields, matrix, vector })
     })
-}
-
-/// What [`scan_known`] made of a document.
-#[derive(Debug, PartialEq)]
-pub(crate) enum KnownScan<K, T> {
-    /// The first top-level `matrix_key` value's bytes were known as `T`,
-    /// no other `matrix_key` follows, and the rest of the document scans
-    /// as [`parse_flat`] scans it. The value itself was stepped over, so
-    /// `matrix` is `None`.
-    Known(FlatObject, T),
-    /// Anything else. `Some(k)` when the lookup was shown the first
-    /// `matrix_key` value and did not know it (`k` is what it returned);
-    /// `None` when the scan stopped before such a value (no object, no
-    /// such key, an error, a value whose brackets do not close) or after
-    /// a known one (an error, a second `matrix_key`).
-    Unknown(Option<K>),
-}
-
-/// Scans a document like [`parse_flat`], except for the first top-level
-/// `matrix_key` value: its span is found by bracket depth alone (see
-/// [`array_end`]) and handed to `lookup`, which either knows those bytes
-/// (`Ok`) or not (`Err`). The scan steps over a known span without
-/// reading it and stops at an unknown one.
-///
-/// Stepping over is sound only for bytes that parse as one whole value
-/// ending at the span's last byte. A caller gets that by knowing just
-/// spans it saw accepted as a matrix of numbers: such a text holds no
-/// string, so its depth-0 bracket is the one the grammar closes it with,
-/// and equal bytes at any offset parse to the same value.
-pub(crate) fn scan_known<K, T>(
-    text: &str,
-    matrix_key: &str,
-    vector_key: &str,
-    lookup: impl FnOnce(&[u8]) -> Result<T, K>,
-) -> KnownScan<K, T> {
-    let mut lookup = Some(lookup);
-    let mut found = None;
-    let doc = Parser::document(text, |p| {
-        if p.peek() != Some(b'{') {
-            return Err(p.err("not an object"));
-        }
-        let mut vector = None;
-        let fields = p.object(|p, key| {
-            if key == matrix_key {
-                // A second matrix key: the full scan decides what it means.
-                let lookup = lookup.take().ok_or_else(|| p.err("second matrix"))?;
-                let end = array_end(p.bytes, p.pos).ok_or_else(|| p.err("unclosed matrix"))?;
-                let known = lookup(p.bytes.get(p.pos..end).unwrap_or_default());
-                let stop = known.is_err();
-                found = Some(known);
-                if stop {
-                    return Err(p.err("unknown matrix"));
-                }
-                p.pos = end;
-            } else if key == vector_key {
-                let value = p.vector()?;
-                vector.get_or_insert(value);
-            } else {
-                return p.value().map(Some);
-            }
-            Ok(None)
-        })?;
-        Ok(FlatObject { fields, matrix: None, vector })
-    });
-    match (doc, found) {
-        (Ok(doc), Some(Ok(known))) => KnownScan::Known(doc, known),
-        (_, Some(Err(unknown))) => KnownScan::Unknown(Some(unknown)),
-        _ => KnownScan::Unknown(None),
-    }
-}
-
-/// `0x01` in every byte of a word.
-const LOW_BITS: u64 = 0x0101_0101_0101_0101;
-
-/// Nonzero when some byte of `word` is `byte` (the classic zero-byte
-/// test on `word ^ byte…byte`; which bits are set is not exact).
-fn has_byte(word: u64, byte: u8) -> u64 {
-    let x = word ^ LOW_BITS.wrapping_mul(u64::from(byte));
-    x.wrapping_sub(LOW_BITS) & !x & (LOW_BITS << 7)
-}
-
-/// Where the array starting at `start` ends (one past its closing
-/// bracket), counting `[` and `]` only; `None` when `start` holds no `[`
-/// or the brackets never close. Words of eight bytes with neither
-/// bracket are skipped whole, so a matrix of numbers costs about one
-/// word test per eight bytes plus a byte loop over each word with a
-/// bracket in it. Strings are not recognized, so this is the grammar's
-/// end only for a text without strings (see [`scan_known`]).
-fn array_end(bytes: &[u8], start: usize) -> Option<usize> {
-    if bytes.get(start) != Some(&b'[') {
-        return None;
-    }
-    let mut depth = 0usize;
-    let mut pos = start;
-    while pos < bytes.len() {
-        while let Some(word) = bytes.get(pos..pos + 8) {
-            let word = u64::from_le_bytes(word.try_into().ok()?);
-            if has_byte(word, b'[') | has_byte(word, b']') != 0 {
-                break;
-            }
-            pos += 8;
-        }
-        let stop = bytes.len().min(pos + 8);
-        for (i, &b) in bytes.get(pos..stop)?.iter().enumerate() {
-            if b == b'[' {
-                depth += 1;
-            } else if b == b']' {
-                depth = depth.checked_sub(1)?;
-                if depth == 0 {
-                    return Some(pos + i + 1);
-                }
-            }
-        }
-        pos = stop;
-    }
-    None
 }
 
 /// Nesting bound: the daemon parses untrusted input, and recursive
@@ -1298,129 +1176,5 @@ mod tests {
         // Past the cap the scan still checks the grammar.
         let err = parse_flat(r#"{"etc":[[1,2,3],[4,5,]]}"#, "etc", "r", 2).unwrap_err();
         assert_eq!(err, Json::parse(r#"{"etc":[[1,2,3],[4,5,]]}"#).unwrap_err());
-    }
-
-    /// [`array_end`] one byte at a time.
-    fn array_end_bytewise(bytes: &[u8], start: usize) -> Option<usize> {
-        if bytes.get(start) != Some(&b'[') {
-            return None;
-        }
-        let mut depth = 0usize;
-        for (i, &b) in bytes.iter().enumerate().skip(start) {
-            match b {
-                b'[' => depth += 1,
-                b']' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some(i + 1);
-                    }
-                }
-                _ => {}
-            }
-        }
-        None
-    }
-
-    #[test]
-    fn array_end_matches_a_bytewise_walk_at_every_offset() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(0x5EE4);
-        let alphabet = b"[[]]1,. x";
-        for len in 0..80usize {
-            for _ in 0..60 {
-                let bytes: Vec<u8> =
-                    (0..len).map(|_| alphabet[rng.gen_range(0..alphabet.len())]).collect();
-                for start in 0..=len {
-                    assert_eq!(
-                        array_end(&bytes, start),
-                        array_end_bytewise(&bytes, start),
-                        "{:?} from {start}",
-                        String::from_utf8_lossy(&bytes)
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn array_end_is_where_the_grammar_closes_a_matrix() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(0xA77A);
-        let ws = [" ", "", "", "\t", "\n "];
-        for _ in 0..400 {
-            let (rows, cols) = (rng.gen_range(0..12usize), rng.gen_range(0..20usize));
-            let mut text = String::from("[");
-            for t in 0..rows {
-                text.push_str(if t > 0 { "," } else { "" });
-                text.push_str(ws[rng.gen_range(0..ws.len())]);
-                text.push('[');
-                for m in 0..cols {
-                    text.push_str(if m > 0 { "," } else { "" });
-                    text.push_str(&format!("{:.*}", rng.gen_range(0..4), rng.gen::<f64>() * 1e3));
-                    text.push_str(ws[rng.gen_range(0..ws.len())]);
-                }
-                text.push(']');
-            }
-            text.push(']');
-            assert!(Json::parse(&text).is_ok(), "{text}");
-            let lead = " ".repeat(rng.gen_range(0..9));
-            let line = format!("{lead}{text},\"x\":[1]}}");
-            assert_eq!(array_end(line.as_bytes(), lead.len()), Some(lead.len() + text.len()));
-            let cut = rng.gen_range(0..text.len());
-            assert_eq!(array_end(text.get(..cut).unwrap().as_bytes(), 0), None, "{text} cut {cut}");
-        }
-    }
-
-    /// [`scan_known`] over `text` with the given known `etc` text.
-    fn scan(text: &str, known: &str) -> KnownScan<String, ()> {
-        scan_known(text, "etc", "ready", |span| {
-            let span = String::from_utf8(span.to_vec()).unwrap();
-            if span == known {
-                Ok(())
-            } else {
-                Err(span)
-            }
-        })
-    }
-
-    #[test]
-    fn scan_known_steps_over_a_known_matrix_only() {
-        let etc = "[[1,2.5],[3,4]]";
-        for text in [
-            r#"{"type":"schedule","etc":[[1,2.5],[3,4]],"ready":[0,1],"seed":7}"#,
-            r#"{"ready":[0,1],"etc":[[1,2.5],[3,4]],"ready":null,"deep":{"etc":[1]}}"#,
-            r#" { "etc" : [[1,2.5],[3,4]] , "x" : [ "]" ] } "#,
-            r#"{"etc":[[1,2.5],[3,4]]}"#,
-            r#"{"etc":[[1,2.5],[3,4]] ,"x":1}"#,
-        ] {
-            let mut want = parse_flat(text, "etc", "ready", usize::MAX).unwrap();
-            want.matrix = None;
-            assert_eq!(scan(text, etc), KnownScan::Known(want, ()), "{text}");
-        }
-        // An unknown first matrix stops the scan and names its bytes.
-        for (text, span) in [
-            (r#"{"etc":[ [1,2.5],[3,4]],"x":1}"#, "[ [1,2.5],[3,4]]"),
-            // Blind to strings: not the value's end, and never known.
-            (r#"{"etc":[["]"]],"x":1}"#, r#"[["]"]"#),
-            (r#"{"etc":[[1,2]],"etc":[[1,2.5],[3,4]]}"#, "[[1,2]]"),
-            (r#"{"etc":[[1,2]],"x":}"#, "[[1,2]]"),
-        ] {
-            assert_eq!(scan(text, etc), KnownScan::Unknown(Some(span.into())), "{text}");
-        }
-        // No first matrix to show, or trouble after a known one.
-        for text in [
-            r#"[{"etc":[[1,2.5],[3,4]]}]"#,
-            r#"{"type":"schedule"}"#,
-            r#"{"etc":null}"#,
-            r#"{"etc":[[1,2.5],[3,4]"#,
-            r#"{"etc":[[1,2.5],[3,4]],"etc":[[1]]}"#,
-            r#"{"etc":[[1,2.5],[3,4]],"ready":[01]}"#,
-            r#"{"etc":[[1,2.5],[3,4]]} x"#,
-            r#"{"x":"\q","etc":[[1,2.5],[3,4]]}"#,
-        ] {
-            assert_eq!(scan(text, etc), KnownScan::Unknown(None), "{text}");
-        }
     }
 }

@@ -14,8 +14,8 @@
 //!   submission per scheduler pass ([`server`]).
 //! * **Memoization** — an instance-digest LRU cache answers repeated
 //!   identical requests without re-running the engine ([`cache`]); a
-//!   hit on an inline matrix the daemon has already accepted skips its
-//!   number scan and digest ([`seen`]).
+//!   hit on an inline `schedule` line the daemon has already accepted,
+//!   byte for byte, skips its decode and digest ([`seen`]).
 //! * **Backpressure** — a bounded queue; overflow gets an explicit
 //!   `busy` response instead of unbounded buffering.
 //! * **Graceful drain** — `shutdown` stops intake, finishes everything

@@ -113,12 +113,12 @@ impl std::fmt::Display for LoadReport {
             writeln!(
                 f,
                 "server   : cache {} hits / {} misses ({} entries), {} unscanned hits \
-                 ({} known matrices), {} batches (max {}), {} evaluations",
+                 ({} known lines), {} batches (max {}), {} evaluations",
                 n("cache_hits"),
                 n("cache_misses"),
                 n("cache_entries"),
                 n("unscanned_hits"),
-                n("known_matrices"),
+                n("known_lines"),
                 n("batches"),
                 n("max_batch"),
                 n("evaluations"),

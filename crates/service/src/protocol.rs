@@ -49,7 +49,7 @@
 //! `job_list`, `stream_opened`, `stream_result`, `stream_error`
 //! (typed: `code` + `message` + `expected_seq`), `stream_closed`.
 
-use crate::json::{parse_flat, scan_known, FlatMatrix, FlatObject, Json, KnownScan, Misshapen};
+use crate::json::{parse_flat, FlatMatrix, FlatObject, Json, Misshapen};
 use etc_model::{
     braun_instance, braun_instance_names, Consistency, EtcGenerator, EtcInstance, EtcMatrix,
     GeneratorParams, Heterogeneity,
@@ -292,12 +292,6 @@ fn check_inline(etc: &FlatMatrix, ready: Option<&[f64]>) -> Result<(), String> {
     if let Some((t, len)) = etc.ragged() {
         return Err(format!("etc row {t} has {len} machines, row 0 has {n_machines}"));
     }
-    check_ready(ready, n_machines)
-}
-
-/// The last of [`check_inline`]'s checks: `ready`, when given, holds one
-/// finite value ≥ 0 per machine.
-fn check_ready(ready: Option<&[f64]>, n_machines: usize) -> Result<(), String> {
     if let Some(r) = ready {
         if r.len() != n_machines {
             return Err(format!("ready has {} entries, matrix has {n_machines} machines", r.len()));
@@ -557,31 +551,6 @@ impl Request {
     }
 }
 
-/// [`Request::decode`] for a `schedule` line whose first `etc` text is a
-/// matrix `lookup` knows: every other field is scanned and checked as the
-/// full decode does, and the digest is finished from the matrix's
-/// prefix. The request's inline matrix is left empty (its cells were
-/// never read), so the request serves only to answer a cache hit; were it
-/// resolved, it would be refused as an empty matrix. `Err` sends the line
-/// to the full decode, carrying what `lookup` returned for an unknown
-/// matrix.
-pub(crate) fn decode_known<K>(
-    line: &str,
-    lookup: impl FnOnce(&[u8]) -> Result<MatrixPrefix, K>,
-) -> Result<(ScheduleRequest, u64), Option<K>> {
-    let (mut doc, prefix) = match scan_known(line, "etc", "ready", lookup) {
-        KnownScan::Known(doc, prefix) => (doc, prefix),
-        KnownScan::Unknown(key) => return Err(key),
-    };
-    if !matches!(doc.fields.get("type"), Some(Json::Str(kind)) if kind == "schedule") {
-        return Err(None);
-    }
-    doc.matrix = Some(Ok(FlatMatrix::default()));
-    let request = ScheduleRequest::from_doc(doc).map_err(|_| None)?;
-    let digest = request.known_digest(&prefix).ok_or(None)?;
-    Ok((request, digest))
-}
-
 impl ScheduleRequest {
     fn from_doc(doc: FlatObject) -> Result<ScheduleRequest, String> {
         let FlatObject { fields, matrix: inline, vector: ready } = doc;
@@ -669,28 +638,16 @@ impl ScheduleRequest {
     /// [`ScheduleRequest::resolve_instance`] checks it (same errors), and
     /// the digest [`ScheduleRequest::digest`] would take of it. An inline
     /// matrix is checked and hashed straight from its decoded cells, so
-    /// no instance is built, and its share of the digest comes back too
-    /// (what the seen-matrix table keeps); a Braun or generator source
-    /// has no cells until it is resolved.
-    pub(crate) fn checked_digest(&self) -> Result<(u64, Option<MatrixPrefix>), String> {
+    /// no instance is built; a Braun or generator source has no cells
+    /// until it is resolved.
+    pub(crate) fn checked_digest(&self) -> Result<u64, String> {
         match &self.source {
             InstanceSource::Inline { etc, ready, .. } => {
                 check_inline(etc, ready.as_deref())?;
-                let prefix = MatrixPrefix::of(etc.rows(), etc.cols(), etc.cells());
-                Ok((self.digest_suffix(prefix.state, prefix.cols, ready.as_deref()), Some(prefix)))
+                Ok(self.digest_cells(etc.rows(), etc.cols(), etc.cells(), ready.as_deref()))
             }
-            _ => self.resolve_instance().map(|instance| (self.digest(&instance), None)),
+            _ => self.resolve_instance().map(|instance| self.digest(&instance)),
         }
-    }
-
-    /// The digest of this request over an inline matrix it no longer
-    /// holds, from the matrix's `prefix`: [`check_inline`]'s `ready`
-    /// checks, then the digest's suffix. The matrix checks passed when
-    /// `prefix` was taken. `None` when `ready` fails its checks.
-    pub(crate) fn known_digest(&self, prefix: &MatrixPrefix) -> Option<u64> {
-        let InstanceSource::Inline { ready, .. } = &self.source else { return None };
-        check_ready(ready.as_deref(), prefix.cols).ok()?;
-        Some(self.digest_suffix(prefix.state, prefix.cols, ready.as_deref()))
     }
 
     /// The engine configuration this request asks for.
@@ -706,21 +663,33 @@ impl ScheduleRequest {
 
     /// Memoization digest: FNV-1a over the resolved instance bytes and
     /// every config knob that affects the outcome. Two requests with
-    /// equal digests ask for the same computation. `MatrixPrefix::of`
-    /// folds the dimensions and task-major cells, `digest_suffix` the
-    /// ready times and knobs; `checked_digest` folds the same bytes from
-    /// an inline request's decoded cells.
+    /// equal digests ask for the same computation.
     pub fn digest(&self, instance: &EtcInstance) -> u64 {
-        let n_machines = instance.n_machines();
-        let cells = instance.etc().task_major_data();
-        let prefix = MatrixPrefix::of(instance.n_tasks(), n_machines, cells);
-        self.digest_suffix(prefix.state, n_machines, Some(instance.ready_times()))
+        self.digest_cells(
+            instance.n_tasks(),
+            instance.n_machines(),
+            instance.etc().task_major_data(),
+            Some(instance.ready_times()),
+        )
     }
 
-    /// The digest's tail: ready times (`None` hashes the all-zero
-    /// default, as [`EtcInstance::new`] sets it) and knobs folded into
-    /// `h`, the state after the dimensions and cells.
-    fn digest_suffix(&self, mut h: Fnv1a, n_machines: usize, ready: Option<&[f64]>) -> u64 {
+    /// The digest over dimensions, task-major cells, ready times (`None`
+    /// hashes the all-zero default, as [`EtcInstance::new`] sets it) and
+    /// knobs: the one routine behind [`ScheduleRequest::digest`] and
+    /// [`ScheduleRequest::checked_digest`].
+    fn digest_cells(
+        &self,
+        n_tasks: usize,
+        n_machines: usize,
+        cells: &[f64],
+        ready: Option<&[f64]>,
+    ) -> u64 {
+        let mut h = Fnv1a::new();
+        h.write_u64(n_tasks as u64);
+        h.write_u64(n_machines as u64);
+        for &x in cells {
+            h.write_u64(x.to_bits());
+        }
         match ready {
             Some(ready) => ready.iter().for_each(|r| h.write_u64(r.to_bits())),
             None => (0..n_machines).for_each(|_| h.write_u64(0f64.to_bits())),
@@ -751,34 +720,10 @@ impl ScheduleRequest {
     }
 }
 
-/// A matrix's share of the memoization digest: the FNV-1a state after
-/// folding its dimensions and every cell, and its machine count. The
-/// rest of the digest depends only on that count and the request, so a
-/// request over a matrix seen before can finish its digest from here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct MatrixPrefix {
-    cols: usize,
-    state: Fnv1a,
-}
-
-impl MatrixPrefix {
-    /// Folds `rows`, `cols` and the task-major `cells`.
-    fn of(rows: usize, cols: usize, cells: &[f64]) -> MatrixPrefix {
-        let mut state = Fnv1a::new();
-        state.write_u64(rows as u64);
-        state.write_u64(cols as u64);
-        for &x in cells {
-            state.write_u64(x.to_bits());
-        }
-        MatrixPrefix { cols, state }
-    }
-}
-
 /// FNV-1a, 64-bit — the digest behind the memoization cache. Not
 /// cryptographic; collisions only cost a stale-but-valid cached answer
 /// for a different instance, and 64 bits over a bounded cache makes that
 /// astronomically unlikely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fnv1a(u64);
 
 impl Fnv1a {
@@ -1071,12 +1016,12 @@ pub struct StatsSnapshot {
     /// Cache entries warm-loaded from the `--corpus` store at boot (0
     /// without a corpus; see FORMAT.md).
     pub cache_persisted: u64,
-    /// Cache hits answered from the seen-matrix table: an inline matrix
-    /// text accepted before, neither scanned nor hashed again (see
-    /// [`crate::seen`]).
+    /// Cache hits answered from the seen-line table: a `schedule` line
+    /// accepted before, byte for byte, neither decoded nor digested again
+    /// (see [`crate::seen`]).
     pub unscanned_hits: u64,
-    /// Inline matrix texts the seen-matrix table holds.
-    pub known_matrices: usize,
+    /// Accepted inline `schedule` lines the seen-line table holds.
+    pub known_lines: usize,
     /// In-batch duplicate requests served by one run.
     pub coalesced: u64,
     /// Batches executed. Only queued misses form batches; a hit answered
@@ -1201,7 +1146,7 @@ impl Response {
                 ("cache_capacity", Json::num(s.cache_capacity as f64)),
                 ("cache_persisted", Json::num(s.cache_persisted as f64)),
                 ("unscanned_hits", Json::num(s.unscanned_hits as f64)),
-                ("known_matrices", Json::num(s.known_matrices as f64)),
+                ("known_lines", Json::num(s.known_lines as f64)),
                 ("coalesced", Json::num(s.coalesced as f64)),
                 ("batches", Json::num(s.batches as f64)),
                 ("max_batch", Json::num(s.max_batch as f64)),
@@ -1441,8 +1386,7 @@ mod tests {
         ] {
             let request = schedule(line);
             let instance = request.resolve_instance().unwrap();
-            let digest = request.checked_digest().map(|(digest, _)| digest);
-            assert_eq!(digest, Ok(request.digest(&instance)), "{line}");
+            assert_eq!(request.checked_digest(), Ok(request.digest(&instance)), "{line}");
             assert_eq!(request.instance_name(), instance.name(), "{line}");
         }
         // Both report a bad value the same way.
@@ -1458,67 +1402,6 @@ mod tests {
                 request.resolve_instance().unwrap_err()
             );
         }
-    }
-
-    /// The digest folded in one pass, as before it was split into a
-    /// matrix prefix and a suffix.
-    fn one_pass_digest(r: &ScheduleRequest, etc: &FlatMatrix, ready: Option<&[f64]>) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write_u64(etc.rows() as u64);
-        h.write_u64(etc.cols() as u64);
-        etc.cells().iter().for_each(|x| h.write_u64(x.to_bits()));
-        match ready {
-            Some(ready) => ready.iter().for_each(|x| h.write_u64(x.to_bits())),
-            None => (0..etc.cols()).for_each(|_| h.write_u64(0)),
-        }
-        let crossover = match r.crossover {
-            CrossoverOp::OnePoint => 1,
-            CrossoverOp::TwoPoint => 2,
-            CrossoverOp::Uniform => 3,
-        };
-        for knob in [r.seed, r.threads as u64, r.ls as u64, crossover] {
-            h.write_u64(knob);
-        }
-        let (tag, budget) = match r.termination {
-            Termination::Evaluations(e) => (0xE, e),
-            Termination::Generations(g) => (0x6, g),
-            Termination::WallTime(d) => (0x7, d.as_nanos() as u64),
-        };
-        h.write_u64(tag);
-        h.write_u64(budget);
-        h.finish()
-    }
-
-    #[test]
-    fn prefix_and_suffix_make_the_one_pass_digest() {
-        for line in [
-            r#"{"type":"schedule","name":"pin","etc":[[1.5,2,3.25],[4,0.1,6e2],[7,8,9.75],[0.3,12,1e-3]],"ready":[0,1.5,0.2],"evals":1000,"seed":11,"threads":2,"ls":3,"crossover":"ux"}"#,
-            r#"{"type":"schedule","etc":[[1,2],[3,4],[5,6]],"gens":7,"seed":2,"crossover":"opx"}"#,
-            r#"{"type":"schedule","etc":[[1,2],[3,4]],"ready":[0,-0],"time_ms":5}"#,
-            r#"{"type":"schedule","etc":[[7]]}"#,
-        ] {
-            let request = schedule(line);
-            let InstanceSource::Inline { etc, ready, .. } = &request.source else {
-                panic!("{line}: inline source expected");
-            };
-            let (digest, prefix) = request.checked_digest().unwrap();
-            let prefix = prefix.expect("an inline matrix has a prefix");
-            assert_eq!(prefix, MatrixPrefix::of(etc.rows(), etc.cols(), etc.cells()));
-            for ready in [ready.as_deref(), None] {
-                let whole = one_pass_digest(&request, etc, ready);
-                assert_eq!(request.digest_suffix(prefix.state, etc.cols(), ready), whole, "{line}");
-            }
-            let instance = request.resolve_instance().unwrap();
-            assert_eq!(request.digest(&instance), digest, "{line}");
-            assert_eq!(digest, one_pass_digest(&request, etc, ready.as_deref()), "{line}");
-            assert_eq!(request.known_digest(&prefix), Some(digest), "{line}");
-        }
-        // `known_digest` runs the `ready` checks the matrix checks skip.
-        let bad = schedule(r#"{"type":"schedule","etc":[[1,2]],"ready":[1,-1]}"#);
-        let prefix = MatrixPrefix::of(1, 2, &[1.0, 2.0]);
-        assert_eq!(bad.known_digest(&prefix), None);
-        let short = schedule(r#"{"type":"schedule","etc":[[1,2]],"ready":[1]}"#);
-        assert_eq!(short.known_digest(&prefix), None);
     }
 
     #[test]

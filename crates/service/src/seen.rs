@@ -1,141 +1,124 @@
-//! The seen-matrix table: a cache hit on an inline matrix the daemon has
-//! already accepted skips scanning and hashing that matrix's numbers.
+//! The seen-line table: a cache hit on a `schedule` line the daemon has
+//! already accepted, byte for byte, skips decoding and digesting it.
 //!
-//! Decoding a `schedule` line turns every cell of its `etc` text into an
-//! `f64`, and the memoization digest then folds every cell into FNV-1a.
-//! Both are fixed by the matrix text's bytes, and a client that asks for
-//! the same matrix again (another seed, another budget, the same request
-//! once more) resends those bytes. The table keys each accepted matrix
-//! text by a keyed hash of its bytes and length, and keeps the digest's
-//! state after the dimensions and cells (a `MatrixPrefix`). A line whose
-//! first `etc` text is in the table is decoded without that value, its
-//! digest is finished from the kept state, and only a cache hit is
-//! answered that way; every other line takes the full decode.
+//! Decoding an inline `schedule` line turns every cell of its `etc`
+//! text into an `f64`, and the memoization digest then folds every cell
+//! into FNV-1a. Both are fixed by the line's bytes, and a client that
+//! repeats a request resends those bytes. The table keys each accepted
+//! inline `schedule` line by a keyed hash of its bytes and length, and
+//! keeps the request it decoded to (cells dropped) with its digest. A
+//! line in the table costs one hash and one map read before the cache
+//! lookup; every other line takes the full decode.
 //!
-//! **Soundness.** Parsing a JSON value depends only on its bytes, so a
-//! text equal to one the daemon accepted decodes, checks and digests
-//! exactly as it did then. A false match needs two different texts of
-//! one length to share a 64-bit SipHash under per-table random keys.
+//! **Soundness.** [`crate::Request::decode`] and the checked digest
+//! depend only on the line's bytes, so an equal line decodes and digests
+//! exactly as it did when it was entered. A false match needs two
+//! different lines of one length to share a 64-bit SipHash under
+//! per-table random keys.
 //!
 //! **Bound.** At most `capacity` entries (the daemon passes its
 //! `--cache-cap`; 0 turns the table off), oldest entered evicted first.
-//! An entry holds a key and a prefix, never matrix bytes or cells.
+//! An entry holds a key, the request without its cells and the digest:
+//! never line bytes or cells.
 
-use crate::protocol::{decode_known, MatrixPrefix, ScheduleRequest};
+use crate::json::FlatMatrix;
+use crate::protocol::{InstanceSource, ScheduleRequest};
 use parking_lot::Mutex;
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, Hasher};
+use std::sync::Arc;
 
-/// Where a line's first `etc` text sits in the table: a keyed hash of
-/// its bytes and length, and the length.
+/// A line's place in the table: a keyed hash of its bytes and length,
+/// and the length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct MatrixKey {
+struct LineKey {
     hash: u64,
     len: usize,
 }
 
-/// A `schedule` line answered from the table.
+/// An accepted `schedule` line, as the table answers it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KnownSchedule {
-    /// The request as [`crate::Request::decode`] decodes it, except that
-    /// its inline matrix is empty: the cells were never read. Resolving
-    /// it is refused as an empty matrix.
+    /// The request as [`crate::Request::decode`] decodes the line, except
+    /// that its inline matrix is empty: the cells are not kept. Resolving
+    /// it is refused as an empty matrix, so it serves only to answer a
+    /// cache hit.
     pub request: ScheduleRequest,
-    /// The digest the full decode takes of the line.
+    /// The digest the full path takes of the line.
     pub digest: u64,
 }
 
-/// What the table makes of a line.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Lookup {
-    /// A `schedule` line whose first `etc` text the table holds.
-    Known(Box<KnownSchedule>),
-    /// Any other line: decode it in full. The key is the first `etc`
-    /// text's when the table was asked about one and lacked it; pass it
-    /// to [`SeenMatrices::checked_digest`] with the decoded request.
-    Unknown(Option<MatrixKey>),
-}
-
 struct Entries {
-    map: HashMap<MatrixKey, MatrixPrefix>,
+    map: HashMap<LineKey, Arc<KnownSchedule>>,
     /// Keys in the order they were entered, oldest first.
-    order: VecDeque<MatrixKey>,
+    order: VecDeque<LineKey>,
 }
 
-/// The bounded table of accepted inline matrix texts (see the module
-/// doc).
-pub struct SeenMatrices {
+/// The bounded table of accepted inline `schedule` lines (see the
+/// module doc).
+pub struct SeenLines {
     keys: RandomState,
     capacity: usize,
     entries: Mutex<Entries>,
 }
 
-impl SeenMatrices {
-    /// A table of at most `capacity` matrices; 0 keeps none and looks
+impl SeenLines {
+    /// A table of at most `capacity` lines; 0 keeps none and looks
     /// nothing up.
     pub fn new(capacity: usize) -> Self {
         let entries = Entries { map: HashMap::new(), order: VecDeque::new() };
-        SeenMatrices { keys: RandomState::new(), capacity, entries: Mutex::new(entries) }
+        SeenLines { keys: RandomState::new(), capacity, entries: Mutex::new(entries) }
     }
 
-    /// Matrices held.
+    /// Lines held.
     pub fn len(&self) -> usize {
         self.entries.lock().map.len()
     }
 
-    /// True when no matrix is held.
+    /// True when no line is held.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    fn key(&self, text: &[u8]) -> MatrixKey {
+    fn key(&self, line: &str) -> LineKey {
         let mut h = self.keys.build_hasher();
-        h.write(text);
-        h.write_usize(text.len());
-        MatrixKey { hash: h.finish(), len: text.len() }
+        h.write(line.as_bytes());
+        h.write_usize(line.len());
+        LineKey { hash: h.finish(), len: line.len() }
     }
 
-    /// Looks `line` up: [`Lookup::Known`] for a `schedule` line whose
-    /// first `etc` text is held, whose other fields decode, and whose
-    /// `ready` passes its checks. The lock is held only for the map read;
-    /// the span is found and hashed before.
-    pub fn lookup(&self, line: &str) -> Lookup {
+    /// The entry for `line` when the table holds it. The line is hashed
+    /// before the lock is taken; the lock covers one map read.
+    pub fn get(&self, line: &str) -> Option<Arc<KnownSchedule>> {
         if self.capacity == 0 {
-            return Lookup::Unknown(None);
+            return None;
         }
-        let known = decode_known(line, |text| {
-            let key = self.key(text);
-            self.entries.lock().map.get(&key).copied().ok_or(key)
-        });
-        match known {
-            Ok((request, digest)) => Lookup::Known(Box::new(KnownSchedule { request, digest })),
-            Err(key) => Lookup::Unknown(key),
-        }
+        let key = self.key(line);
+        self.entries.lock().map.get(&key).cloned()
     }
 
-    /// The full path's checks and digest of a decoded request, as the
-    /// daemon's cache lookup takes them. When they accept an inline
-    /// matrix and `key` is its line's [`Lookup::Unknown`] key, the matrix
-    /// is entered.
-    pub fn checked_digest(
-        &self,
-        request: &ScheduleRequest,
-        key: Option<MatrixKey>,
-    ) -> Result<u64, String> {
-        let (digest, prefix) = request.checked_digest()?;
-        if let (Some(key), Some(prefix)) = (key, prefix) {
-            self.enter(key, prefix);
+    /// The full path's checks and digest of `request`, decoded from
+    /// `line`. When they accept an inline matrix, `line` is entered.
+    pub fn checked_digest(&self, line: &str, request: &ScheduleRequest) -> Result<u64, String> {
+        let digest = request.checked_digest()?;
+        if let InstanceSource::Inline { name, ready, .. } = &request.source {
+            if self.capacity > 0 {
+                let source = InstanceSource::Inline {
+                    name: name.clone(),
+                    etc: FlatMatrix::default(),
+                    ready: ready.clone(),
+                };
+                let request = ScheduleRequest { id: request.id.clone(), source, ..*request };
+                self.enter(self.key(line), KnownSchedule { request, digest });
+            }
         }
         Ok(digest)
     }
 
-    fn enter(&self, key: MatrixKey, prefix: MatrixPrefix) {
-        if self.capacity == 0 {
-            return;
-        }
+    fn enter(&self, key: LineKey, known: KnownSchedule) {
         let mut entries = self.entries.lock();
-        if entries.map.insert(key, prefix).is_none() {
+        if entries.map.insert(key, Arc::new(known)).is_none() {
             entries.order.push_back(key);
             if entries.order.len() > self.capacity {
                 if let Some(oldest) = entries.order.pop_front() {
@@ -149,8 +132,7 @@ impl SeenMatrices {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::FlatMatrix;
-    use crate::protocol::{InstanceSource, Request, MAX_INLINE_CELLS};
+    use crate::protocol::{Request, MAX_INLINE_CELLS};
 
     const LINE: &str = r#"{"type":"schedule","id":"a","etc":[[1,2.5,3],[4,5,6.25]],"ready":[0,1.5,0.25],"evals":200,"seed":3}"#;
 
@@ -161,25 +143,15 @@ mod tests {
         }
     }
 
-    /// The full path, as the daemon takes it: look up, decode, check and
-    /// digest (entering the matrix when accepted).
-    fn full_path(table: &SeenMatrices, line: &str) -> Result<u64, String> {
-        let key = match table.lookup(line) {
-            Lookup::Unknown(key) => key,
-            Lookup::Known(known) => panic!("{line} took the table: {known:?}"),
-        };
-        table.checked_digest(&decode(line), key)
+    /// The full path, as the daemon takes it on a line the table lacks:
+    /// decode, check and digest, entering the line when accepted.
+    fn full_path(table: &SeenLines, line: &str) -> Result<u64, String> {
+        assert!(table.get(line).is_none(), "{line} took the table");
+        table.checked_digest(line, &decode(line))
     }
 
-    fn known(table: &SeenMatrices, line: &str) -> KnownSchedule {
-        match table.lookup(line) {
-            Lookup::Known(known) => *known,
-            Lookup::Unknown(key) => panic!("{line} missed the table ({key:?})"),
-        }
-    }
-
-    /// `line` decoded in full, its inline matrix emptied as the table's
-    /// answer leaves it.
+    /// `line` decoded in full, its inline matrix emptied as the table
+    /// keeps it.
     fn without_cells(line: &str) -> ScheduleRequest {
         let mut request = decode(line);
         if let InstanceSource::Inline { etc, .. } = &mut request.source {
@@ -188,118 +160,92 @@ mod tests {
         request
     }
 
-    fn assert_known_as_full(table: &SeenMatrices, line: &str) {
-        let got = known(table, line);
+    fn assert_known_as_full(table: &SeenLines, line: &str) {
+        let known = table.get(line).unwrap_or_else(|| panic!("{line} missed the table"));
         let full = decode(line);
         let instance = full.resolve_instance().unwrap();
-        assert_eq!(got.digest, full.digest(&instance), "{line}");
-        assert_eq!(got.request, without_cells(line), "{line}");
+        assert_eq!(known.digest, full.digest(&instance), "{line}");
+        assert_eq!(known.request, without_cells(line), "{line}");
     }
 
     #[test]
-    fn an_accepted_matrix_is_known_under_any_id_and_knobs() {
-        let table = SeenMatrices::new(4);
+    fn an_accepted_line_is_known_byte_for_byte_only() {
+        let table = SeenLines::new(8);
         let digest = full_path(&table, LINE).unwrap();
         assert_eq!(table.len(), 1);
-        let again = known(&table, LINE);
-        assert_eq!(again.digest, digest);
-        assert_eq!(again.request, without_cells(LINE));
-        for other in [
-            LINE.replace(r#""id":"a""#, r#""id":"b""#),
-            LINE.replace(r#""seed":3"#, r#""seed":4"#),
-            LINE.replace(r#","ready":[0,1.5,0.25]"#, ""),
-            LINE.replace(r#""evals":200"#, r#""gens":9,"assignment":true,"name":"n""#),
-        ] {
-            assert_known_as_full(&table, &other);
+        assert_known_as_full(&table, LINE);
+        assert_eq!(table.get(LINE).map(|k| k.digest), Some(digest));
+        // Another id, another seed, or the same matrix in other bytes is
+        // another line: a miss that the full path then enters.
+        let other_id = LINE.replace(r#""id":"a""#, r#""id":"b""#);
+        let other_seed = LINE.replace(r#""seed":3"#, r#""seed":4"#);
+        let spaced = LINE.replace("[[1,2.5,3]", "[ [1,2.5,3]");
+        let respelled = LINE.replace("2.5", "2.50");
+        assert_eq!(full_path(&table, &other_id), Ok(digest));
+        assert_ne!(full_path(&table, &other_seed), Ok(digest));
+        assert_eq!(full_path(&table, &spaced), Ok(digest));
+        assert_eq!(full_path(&table, &respelled), Ok(digest));
+        for line in [LINE, &other_id, &other_seed, &spaced, &respelled] {
+            assert_known_as_full(&table, line);
         }
-        assert_eq!(table.len(), 1, "lookups enter nothing");
+        assert_eq!(table.len(), 5);
     }
 
     #[test]
-    fn ready_before_etc_is_known_and_decodes_as_today() {
-        let table = SeenMatrices::new(4);
-        full_path(&table, LINE).unwrap();
-        let moved = r#"{"ready":[0,1.5,0.25],"type":"schedule","etc":[[1,2.5,3],[4,5,6.25]],"seed":3,"evals":200,"id":"a"}"#;
-        assert_known_as_full(&table, moved);
-        assert_eq!(known(&table, moved).digest, known(&table, LINE).digest);
-    }
-
-    #[test]
-    fn other_bytes_for_the_same_matrix_miss_the_table() {
-        let table = SeenMatrices::new(4);
-        let digest = full_path(&table, LINE).unwrap();
-        for other in [
-            LINE.replace("[[1,2.5,3]", "[ [1,2.5,3]"),
-            LINE.replace("2.5", "2.50"),
-            LINE.replace("[4,5,", "[4,5e0,"),
-        ] {
-            assert!(matches!(table.lookup(&other), Lookup::Unknown(Some(_))), "{other}");
-            assert_eq!(table.checked_digest(&decode(&other), None), Ok(digest), "{other}");
-        }
-    }
-
-    #[test]
-    fn lines_the_full_path_must_judge_never_take_the_table() {
-        let table = SeenMatrices::new(4);
-        full_path(&table, LINE).unwrap();
+    fn lines_decode_as_today_before_they_are_entered() {
+        let table = SeenLines::new(8);
         let etc = r#""etc":[[1,2.5,3],[4,5,6.25]]"#;
         for line in [
-            // A second `etc`, after or before a known one.
-            format!(r#"{{"type":"schedule",{etc},"etc":[[1]],"evals":5}}"#),
-            format!(r#"{{"type":"schedule","etc":[[1]],{etc},"evals":5}}"#),
-            // Other verbs carrying the matrix.
-            format!(r#"{{"type":"job.start",{etc},"gens":5}}"#),
-            format!(r#"{{"type":"stream.open",{etc},"evals":5}}"#),
-            // Refused by the full decode or its checks.
-            format!(r#"{{"type":"schedule",{etc},"braun":"u_c_hihi.0"}}"#),
-            format!(r#"{{"type":"schedule",{etc},"ready":[1,2]}}"#),
-            format!(r#"{{"type":"schedule",{etc},"ready":[1,2,-3]}}"#),
-            format!(r#"{{"type":"schedule",{etc},"threads":0}}"#),
-            format!(r#"{{"type":"schedule",{etc},"evals":5,}}"#),
-            format!(r#"{{"type":"schedule",{etc}"#),
-            format!(r#"{{{etc}}}"#),
+            // A second `etc`: the first wins, as in the full decode.
+            format!(r#"{{"type":"schedule",{etc},"etc":[[9]],"evals":5}}"#),
+            // `ready` before `etc`.
+            format!(r#"{{"ready":[0,1.5,0.25],"type":"schedule",{etc},"seed":3}}"#),
         ] {
-            assert!(matches!(table.lookup(&line), Lookup::Unknown(_)), "{line}");
+            full_path(&table, &line).unwrap();
+            assert_known_as_full(&table, &line);
+            assert_eq!(decode(&line).resolve_instance().unwrap().n_tasks(), 2);
         }
-        // Duplicate keys decode as today: the first `etc` wins.
-        let twice = format!(r#"{{"type":"schedule",{etc},"etc":[["x"]],"seed":3}}"#);
-        let request = decode(&twice);
-        assert_eq!(request.resolve_instance().unwrap().n_tasks(), 2);
     }
 
     #[test]
-    fn refused_matrices_are_never_entered() {
-        let table = SeenMatrices::new(4);
+    fn refused_and_non_inline_lines_are_never_entered() {
+        let table = SeenLines::new(8);
         let long_row = format!("[{}1]", "1,".repeat(MAX_INLINE_CELLS));
         for line in [
             format!(r#"{{"type":"schedule","etc":[{long_row}],"evals":10}}"#),
             r#"{"type":"schedule","etc":[[1,2],[3]]}"#.into(),
             r#"{"type":"schedule","etc":[[1,0]]}"#.into(),
             r#"{"type":"schedule","etc":[[1,2]],"ready":[1]}"#.into(),
+            r#"{"type":"schedule","etc":[[1,2]],"ready":[1,-1]}"#.into(),
             r#"{"type":"schedule","etc":[]}"#.into(),
         ] {
             assert!(full_path(&table, &line).is_err(), "{}", &line[..40.min(line.len())]);
-            assert!(matches!(table.lookup(&line), Lookup::Unknown(Some(_))));
         }
+        assert!(table.is_empty());
+        // Accepted, but its source has no cells to skip.
+        full_path(&table, r#"{"type":"schedule","braun":"u_c_hihi.0","evals":10}"#).unwrap();
         assert!(table.is_empty());
     }
 
     #[test]
     fn capacity_bounds_the_table() {
-        let table = SeenMatrices::new(0);
-        assert_eq!(table.lookup(LINE), Lookup::Unknown(None));
+        let table = SeenLines::new(0);
         full_path(&table, LINE).unwrap();
         assert!(table.is_empty(), "capacity 0 keeps nothing");
+        assert!(table.get(LINE).is_none());
 
-        let table = SeenMatrices::new(2);
+        let table = SeenLines::new(2);
         let lines: Vec<String> =
             (1..=3).map(|k| LINE.replace("[[1,", &format!("[[{k}{k},"))).collect();
         for line in &lines {
             full_path(&table, line).unwrap();
         }
         assert_eq!(table.len(), 2);
-        assert!(matches!(table.lookup(&lines[0]), Lookup::Unknown(Some(_))), "oldest evicted");
+        assert!(table.get(&lines[0]).is_none(), "oldest evicted");
         assert_known_as_full(&table, &lines[1]);
         assert_known_as_full(&table, &lines[2]);
+        // Entering a held line again does not grow the table.
+        table.checked_digest(&lines[1], &decode(&lines[1])).unwrap();
+        assert_eq!(table.len(), 2);
     }
 }

@@ -7,9 +7,9 @@
 //! acceptor ──spawns──▶ one handler thread per connection
 //!                          │  parse line → control requests answered
 //!                          │  inline; a schedule request is resolved,
-//!                          │  checked and digested here (from the
-//!                          │  seen-matrix table when its inline matrix
-//!                          │  text was accepted before), then a
+//!                          │  checked and digested here (or found in
+//!                          │  the seen-line table when the same line
+//!                          │  was accepted before), then a
 //!                          │  hit-only cache lookup: a hit is answered
 //!                          │  on this thread; a miss is try_enqueue'd
 //!                          ▼
@@ -38,7 +38,7 @@
 use crate::cache::{CachedRun, ScheduleCache};
 use crate::jobs::JobManager;
 use crate::protocol::{Request, Response, ScheduleRequest, StatsSnapshot, StreamOpenRequest};
-use crate::seen::{KnownSchedule, Lookup, MatrixKey, SeenMatrices};
+use crate::seen::{KnownSchedule, SeenLines};
 use crate::store::{StoreBuilder, StoreReader};
 use crate::stream::StreamSession;
 use etc_model::EtcInstance;
@@ -122,8 +122,8 @@ struct Metrics {
     batches: AtomicU64,
     max_batch: AtomicU64,
     evaluations: AtomicU64,
-    /// Cache hits answered from the seen-matrix table, their matrix
-    /// neither scanned nor hashed.
+    /// Cache hits answered from the seen-line table, their line neither
+    /// decoded nor digested.
     unscanned_hits: AtomicU64,
 }
 
@@ -158,8 +158,8 @@ struct Shared {
     shutdown: AtomicBool,
     metrics: Metrics,
     cache: Mutex<ScheduleCache>,
-    /// Inline matrix texts accepted so far (bounded by `--cache-cap`).
-    matrices: SeenMatrices,
+    /// Inline `schedule` lines accepted so far (bounded by `--cache-cap`).
+    lines: SeenLines,
     conns: Mutex<usize>,
     conns_cv: Condvar,
     /// Read-half handles of every live connection, keyed by connection
@@ -265,7 +265,7 @@ impl Shared {
             cache_capacity,
             cache_persisted: self.cache_persisted,
             unscanned_hits,
-            known_matrices: self.matrices.len(),
+            known_lines: self.lines.len(),
             coalesced,
             batches,
             max_batch,
@@ -475,7 +475,7 @@ pub fn serve(config: ServeConfig) -> std::io::Result<ServerHandle> {
         shutdown: AtomicBool::new(false),
         metrics: Metrics::default(),
         cache: Mutex::new(cache),
-        matrices: SeenMatrices::new(config.cache_cap),
+        lines: SeenLines::new(config.cache_cap),
         conns: Mutex::new(0),
         conn_streams: Mutex::new(std::collections::HashMap::new()),
         next_conn: AtomicU64::new(0),
@@ -571,13 +571,10 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         if line.trim().is_empty() {
             continue;
         }
-        let (known, seen) = match shared.matrices.lookup(&line) {
-            Lookup::Known(known) => (handle_known(shared, *known), None),
-            Lookup::Unknown(key) => (None, key),
-        };
+        let known = shared.lines.get(&line).and_then(|known| handle_known(shared, &known));
         let response = match known {
             Some(response) => response,
-            None => answer_line(shared, &line, seen, &mut session),
+            None => answer_line(shared, &line, &mut session),
         };
         if writeln!(writer, "{}", response.encode()).and_then(|_| writer.flush()).is_err() {
             break;
@@ -591,14 +588,8 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     }
 }
 
-/// Decodes `line` in full and answers it. `seen` is the key of its
-/// first `etc` text when the seen-matrix table lacked it.
-fn answer_line(
-    shared: &Arc<Shared>,
-    line: &str,
-    seen: Option<MatrixKey>,
-    session: &mut Option<StreamSession>,
-) -> Response {
+/// Decodes `line` in full and answers it.
+fn answer_line(shared: &Arc<Shared>, line: &str, session: &mut Option<StreamSession>) -> Response {
     match Request::decode(line) {
         Err(message) => {
             Metrics::bump(&shared.metrics.errors);
@@ -610,7 +601,7 @@ fn answer_line(
             shared.trigger_shutdown();
             Response::Ok { message: "draining".into() }
         }
-        Ok(Request::Schedule(request)) => handle_schedule(shared, *request, seen),
+        Ok(Request::Schedule(request)) => handle_schedule(shared, *request, line),
         Ok(Request::JobStart(request)) => match &shared.jobs {
             None => job_support_missing(shared),
             Some(jobs) => match jobs.start(*request) {
@@ -679,18 +670,14 @@ fn answer_line(
 /// instance checks, the pool check and the digest run here, and so does
 /// a cache hit. An inline matrix is checked and digested straight from
 /// its decoded cells, so a hit builds no instance; once accepted, its
-/// text enters the seen-matrix table under `seen`. Only a miss resolves
-/// the instance and goes through the queue to the scheduler thread.
-fn handle_schedule(
-    shared: &Arc<Shared>,
-    request: ScheduleRequest,
-    seen: Option<MatrixKey>,
-) -> Response {
+/// `line` enters the seen-line table. Only a miss resolves the instance
+/// and goes through the queue to the scheduler thread.
+fn handle_schedule(shared: &Arc<Shared>, request: ScheduleRequest, line: &str) -> Response {
     if let Some(busy) = drain_gate(shared) {
         return busy;
     }
     // Bad instances are answered immediately, never queued.
-    let digest = match shared.matrices.checked_digest(&request, seen) {
+    let digest = match shared.lines.checked_digest(line, &request) {
         Ok(digest) => digest,
         Err(message) => return schedule_error(shared, request.id, message),
     };
@@ -715,11 +702,11 @@ fn handle_schedule(
     }
 }
 
-/// Answers a `schedule` line whose matrix text the seen-matrix table
-/// knew, if that takes no matrix: the drain gate, the pool check and a
-/// cache hit run as in [`handle_schedule`]. A miss is `None`, and the
-/// line takes the full path.
-fn handle_known(shared: &Arc<Shared>, known: KnownSchedule) -> Option<Response> {
+/// Answers a `schedule` line the seen-line table knew, if that takes no
+/// matrix: the drain gate, the pool check and a cache hit run as in
+/// [`handle_schedule`]. A miss is `None`, and the line takes the full
+/// path.
+fn handle_known(shared: &Arc<Shared>, known: &KnownSchedule) -> Option<Response> {
     if let Some(busy) = drain_gate(shared) {
         return Some(busy);
     }

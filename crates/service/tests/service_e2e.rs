@@ -360,7 +360,7 @@ fn cache_hits_do_not_wait_for_a_running_batch() {
 }
 
 #[test]
-fn known_matrix_hits_skip_the_scan_and_answer_as_the_full_path() {
+fn seen_line_hits_skip_the_decode_and_answer_as_the_full_path() {
     let handle = spawn(ServeConfig::default());
     let mut client = Client::connect(handle.addr()).unwrap();
     let etc = "[[1,10,4],[10,1,4],[5,5,5],[2.5,8,1e1]]";
@@ -372,8 +372,9 @@ fn known_matrix_hits_skip_the_scan_and_answer_as_the_full_path() {
     let mut ask = |line: String| Json::parse(client.send_line(&line).unwrap().trim()).unwrap();
     let counts = |stats: &Json| {
         let n = |k: &str| stats.get(k).and_then(Json::as_u64).unwrap();
-        (n("cache_hits"), n("unscanned_hits"), n("known_matrices"))
+        (n("cache_hits"), n("unscanned_hits"), n("known_lines"))
     };
+    let cached = |v: &Json| v.get("cached").and_then(Json::as_bool);
     // An answer apart from what tells requests apart: `id` and `cached`.
     let answer = |v: &Json| match v {
         Json::Obj(fields) => {
@@ -382,47 +383,48 @@ fn known_matrix_hits_skip_the_scan_and_answer_as_the_full_path() {
         other => other.clone(),
     };
 
-    // The miss takes the full path, which enters the matrix text; the
-    // table then answers every repeat, under any id, as the cache would.
+    // The miss takes the full path, which enters the line; the table
+    // then answers the same line again as the cache would.
     let first = ask(line("a", 1, etc));
-    assert_eq!(first.get("cached").and_then(Json::as_bool), Some(false), "{first}");
+    assert_eq!(cached(&first), Some(false), "{first}");
     let again = ask(line("a", 1, etc));
-    let other_id = ask(line("b", 1, etc));
-    for hit in [&again, &other_id] {
-        assert_eq!(hit.get("cached").and_then(Json::as_bool), Some(true), "{hit}");
-        assert_eq!(answer(hit), answer(&first));
+    assert_eq!(cached(&again), Some(true), "{again}");
+    assert_eq!(answer(&again), answer(&first));
+    let stats = ask(r#"{"type":"stats"}"#.into());
+    assert_eq!(counts(&stats), (1, 1, 1), "{stats}");
+
+    // Another id, or the same matrix in other bytes, is another line: a
+    // normal cache hit that enters it, then an unscanned one.
+    for other in [line("b", 1, etc), line("a", 1, &etc.replace(',', ", "))] {
+        for _ in 0..2 {
+            let hit = ask(other.clone());
+            assert_eq!(cached(&hit), Some(true), "{hit}");
+            assert_eq!(answer(&hit), answer(&first));
+        }
     }
-    assert_eq!(other_id.get("id").and_then(Json::as_str), Some("b"));
+    let stats = ask(r#"{"type":"stats"}"#.into());
+    assert_eq!(counts(&stats), (5, 3, 3), "{stats}");
 
-    // Another seed: the table knows the matrix but the cache has no
-    // answer, so the line runs the engine, and is cached afterwards.
+    // Another seed runs the engine, and is an unscanned hit afterwards.
     let reseeded = ask(line("c", 2, etc));
-    assert_eq!(reseeded.get("cached").and_then(Json::as_bool), Some(false), "{reseeded}");
+    assert_eq!(cached(&reseeded), Some(false), "{reseeded}");
     let reseeded_hit = ask(line("c", 2, etc));
-    assert_eq!(reseeded_hit.get("cached").and_then(Json::as_bool), Some(true));
+    assert_eq!(cached(&reseeded_hit), Some(true), "{reseeded_hit}");
     let stats = ask(r#"{"type":"stats"}"#.into());
-    assert_eq!(counts(&stats), (3, 3, 1), "{stats}");
+    assert_eq!(counts(&stats), (6, 4, 4), "{stats}");
 
-    // The same matrix in other bytes misses the table, hits the cache,
-    // and is then known too.
-    let spaced = ask(line("d", 1, &etc.replace(',', ", ")));
-    assert_eq!(spaced.get("cached").and_then(Json::as_bool), Some(true), "{spaced}");
-    assert_eq!(answer(&spaced), answer(&first));
-    let stats = ask(r#"{"type":"stats"}"#.into());
-    assert_eq!(counts(&stats), (4, 3, 2), "{stats}");
-
-    // Other verbs carrying a known matrix never take the table.
+    // Other verbs carrying the same matrix never enter the table.
     let opened = ask(format!(r#"{{"type":"stream.open","etc":{etc},"evals":50}}"#));
     assert_eq!(opened.get("type").and_then(Json::as_str), Some("stream_opened"), "{opened}");
     let stats = ask(r#"{"type":"stats"}"#.into());
-    assert_eq!(counts(&stats), (4, 3, 2), "{stats}");
+    assert_eq!(counts(&stats), (6, 4, 4), "{stats}");
 
     handle.shutdown();
     handle.join();
 }
 
 #[test]
-fn zero_cache_cap_keeps_no_matrices() {
+fn zero_cache_cap_keeps_no_lines() {
     let handle = spawn(ServeConfig { cache_cap: 0, ..ServeConfig::default() });
     let mut client = Client::connect(handle.addr()).unwrap();
     let line = r#"{"type":"schedule","etc":[[1,2],[2,1],[3,1]],"evals":100}"#;
@@ -431,7 +433,7 @@ fn zero_cache_cap_keeps_no_matrices() {
         assert_eq!(reply.get("cached").and_then(Json::as_bool), Some(false), "{reply}");
     }
     let stats = client.stats().unwrap();
-    assert_eq!(stats.get("known_matrices").and_then(Json::as_u64), Some(0), "{stats}");
+    assert_eq!(stats.get("known_lines").and_then(Json::as_u64), Some(0), "{stats}");
     assert_eq!(stats.get("unscanned_hits").and_then(Json::as_u64), Some(0), "{stats}");
     handle.shutdown();
     handle.join();

@@ -75,9 +75,10 @@
 #            --corpus answers a request cold, drains (carrying every
 #            stored record through and persisting the cache), and a
 #            *second* daemon on the same store must answer the same
-#            digest cached:true on its very first request, and the
-#            same request twice more (once under another id) from the
-#            seen-matrix table, 2 unscanned hits in `stats`; `pacga
+#            digest cached:true on its very first request; the same
+#            line again is answered from the seen-line table, the
+#            request under another id is a normal hit and then a table
+#            hit, so `stats` reads 2 unscanned hits; `pacga
 #            corpus verify` then re-checks every record CRC and index,
 #            and the `corpus ls` instance lines must be identical before
 #            and after the two daemons
@@ -618,20 +619,21 @@ RESP="$(corpus_rpc "$REQ")"
 echo "warm: $RESP"
 grep -q '"cached":true' <<<"$RESP" \
   || { echo "corpus gate: restart lost the memoized answer" >&2; exit 1; }
-# The first warm request entered its matrix text into the seen-matrix
-# table; the same request again, and under another id, must be answered
-# from it (no number scan) with the first warm answer.
+# The first warm request entered its line into the seen-line table, so
+# the same line again is answered from it (no decode, no digest). Under
+# another id it is another line: a normal hit that enters it, then a
+# table hit. Every answer must equal the first warm one apart from id.
 WARM="$(sed 's/"id":[^,]*,//' <<<"$RESP")"
 REQ_ID="${REQ%\}},\"id\":\"again\"}"
-for AGAIN in "$REQ" "$REQ_ID"; do
+for AGAIN in "$REQ" "$REQ_ID" "$REQ_ID"; do
   RESP2="$(corpus_rpc "$AGAIN")"
-  echo "known: $RESP2"
+  echo "again: $RESP2"
   [[ "$(sed 's/"id":[^,]*,//' <<<"$RESP2")" == "$WARM" ]] \
-    || { echo "corpus gate: a known-matrix hit answered differently" >&2; exit 1; }
+    || { echo "corpus gate: a repeated request answered differently" >&2; exit 1; }
 done
 STATS="$(corpus_rpc '{"type":"stats"}')"
-grep -q '"unscanned_hits":2,' <<<"$STATS" \
-  || { echo "corpus gate: expected 2 unscanned hits: $STATS" >&2; exit 1; }
+grep -q '"unscanned_hits":2,"known_lines":2,' <<<"$STATS" \
+  || { echo "corpus gate: expected 2 unscanned hits on 2 known lines: $STATS" >&2; exit 1; }
 corpus_rpc '{"type":"shutdown"}' >/dev/null
 wait "$SERVE_PID"
 SERVE_PID=""
