@@ -1,6 +1,6 @@
 //! `pacga-audit`: the repo's in-tree static analyzer (DESIGN.md §11).
 //!
-//! Six named rules, each individually suppressible with an inline
+//! Seven named rules, each individually suppressible with an inline
 //! waiver comment (`pacga:allow(A1)` on the offending line or the line
 //! above):
 //!
@@ -22,6 +22,11 @@
 //!   `crates/` or the root `tests/`, tests included: the environment is
 //!   process-global, so a test that mutates it races every sibling test
 //!   that reads it. Env readers take the value as an argument instead.
+//! * **A7** — every `pub` fn, struct, enum, trait, type, const or static
+//!   in `crates/*/src` non-test code has a use outside its own file's
+//!   `#[cfg(test)]` code. The only cross-file rule: it indexes every
+//!   identifier in the tree plus `examples/` and `perfbench/src`;
+//!   comments, strings and `use` paths are not uses.
 //!
 //! The analyzer is dependency-free by design: a lightweight hand-rolled
 //! lexer (comments, nested block comments, raw/byte strings, char
@@ -48,11 +53,14 @@ pub enum Rule {
     A5,
     /// Process-environment mutation under `crates/` or `tests/`.
     A6,
+    /// `pub` item in `crates/*/src` that nothing uses.
+    A7,
 }
 
 impl Rule {
     /// All rules, in report order.
-    pub const ALL: [Rule; 6] = [Rule::A1, Rule::A2, Rule::A3, Rule::A4, Rule::A5, Rule::A6];
+    pub const ALL: [Rule; 7] =
+        [Rule::A1, Rule::A2, Rule::A3, Rule::A4, Rule::A5, Rule::A6, Rule::A7];
 
     /// The rule's name as spelled in reports and waivers.
     pub fn name(self) -> &'static str {
@@ -63,6 +71,7 @@ impl Rule {
             Rule::A4 => "A4",
             Rule::A5 => "A5",
             Rule::A6 => "A6",
+            Rule::A7 => "A7",
         }
     }
 
@@ -78,6 +87,9 @@ impl Rule {
             Rule::A5 => "std::sync::Mutex outside vendor/ (use the vendored parking_lot)",
             Rule::A6 => {
                 "std::env::set_var/remove_var anywhere in crates/ or tests/ (inject the value)"
+            }
+            Rule::A7 => {
+                "pub item in crates/*/src used nowhere outside its own file's tests (delete it)"
             }
         }
     }
@@ -427,7 +439,7 @@ struct FileCx<'a> {
     code_lines: HashSet<usize>,
     /// Lines holding an `Ordering::` occurrence.
     ordering_lines: HashSet<usize>,
-    test_regions: Vec<(usize, usize)>,
+    test_regions: &'a [(usize, usize)],
     /// Raw source lines (for the statement-continuation heuristic).
     lines: Vec<&'a str>,
 }
@@ -440,8 +452,7 @@ impl FileCx<'_> {
     /// True when a `pacga:allow(RULE)` waiver covers `line` (waivers
     /// apply to their own line and the next).
     fn waived(&self, line: usize, rule: Rule) -> bool {
-        let tag = format!("pacga:allow({})", rule.name());
-        self.comment_has(line, &tag) || (line > 1 && self.comment_has(line - 1, &tag))
+        waived(self.comments, line, rule)
     }
 
     /// True when the contiguous comment block attached to `line`
@@ -480,6 +491,14 @@ impl FileCx<'_> {
     }
 }
 
+/// True when a `pacga:allow(RULE)` comment sits on `line` or the line
+/// above.
+fn waived(comments: &HashMap<usize, String>, line: usize, rule: Rule) -> bool {
+    let tag = format!("pacga:allow({})", rule.name());
+    let has = |l: usize| comments.get(&l).is_some_and(|c| c.contains(&tag));
+    has(line) || (line > 1 && has(line - 1))
+}
+
 /// Drops a trailing `// ...` comment (best-effort: ignores `//` inside
 /// strings, which is fine for an end-of-line heuristic).
 fn strip_line_comment(s: &str) -> &str {
@@ -494,13 +513,53 @@ fn is_path_sep(tokens: &[Token], i: usize) -> bool {
         && tokens.get(i + 1).is_some_and(|t| t.is_punct(':'))
 }
 
-/// Analyzes one file's source. `rel_path` is the repo-relative path
-/// (forward slashes) — it selects which rules apply and is echoed in the
-/// findings, so fixture tests can assert exact `file:line rule` output
-/// with virtual paths.
+/// One lexed file with its `#[cfg(test)] mod` regions.
+struct Parsed<'a> {
+    rel_path: &'a str,
+    source: &'a str,
+    lexed: Lexed,
+    test_regions: Vec<(usize, usize)>,
+}
+
+impl<'a> Parsed<'a> {
+    fn new(rel_path: &'a str, source: &'a str) -> Self {
+        let lexed = lex(source);
+        let test_regions = test_regions(&lexed.tokens);
+        Parsed { rel_path, source, lexed, test_regions }
+    }
+}
+
+/// Analyzes one file's source with the per-file rules A1–A6.
+/// `rel_path` is the repo-relative path (forward slashes) — it selects
+/// which rules apply and is echoed in the findings, so fixture tests can
+/// assert exact `file:line rule` output with virtual paths. The
+/// cross-file rule A7 needs the whole tree: see [`analyze_sources`].
 pub fn analyze_source(rel_path: &str, source: &str, cfg: &AuditConfig) -> Vec<Violation> {
-    let lexed = lex(source);
-    let tokens = &lexed.tokens;
+    per_file_rules(&Parsed::new(rel_path, source), cfg)
+}
+
+/// Analyzes a whole tree given as `(repo-relative path, source)` pairs:
+/// A1–A6 on each file of the audited tree (`crates/`, `src/`, `tests/`)
+/// and A7 across all of them. Files under `examples/` and `perfbench/`
+/// only count as users for A7. Findings are sorted by (file, line, rule).
+pub fn analyze_sources(files: &[(String, String)], cfg: &AuditConfig) -> Vec<Violation> {
+    let parsed: Vec<Parsed<'_>> =
+        files.iter().map(|(rel, source)| Parsed::new(rel, source)).collect();
+    let mut violations: Vec<Violation> = parsed
+        .iter()
+        .filter(|p| !is_user_only(p.rel_path))
+        .flat_map(|p| per_file_rules(p, cfg))
+        .collect();
+    rule_a7(&parsed, &mut violations);
+    violations.sort_by(|a, b| {
+        (a.file.as_str(), a.line, a.rule.name()).cmp(&(b.file.as_str(), b.line, b.rule.name()))
+    });
+    violations
+}
+
+fn per_file_rules(p: &Parsed<'_>, cfg: &AuditConfig) -> Vec<Violation> {
+    let rel_path = p.rel_path;
+    let tokens = &p.lexed.tokens;
     let mut ordering_lines = HashSet::new();
     for (i, t) in tokens.iter().enumerate() {
         if t.ident() == Some("Ordering") && is_path_sep(tokens, i + 1) {
@@ -510,11 +569,11 @@ pub fn analyze_source(rel_path: &str, source: &str, cfg: &AuditConfig) -> Vec<Vi
     let cx = FileCx {
         rel_path,
         tokens,
-        comments: &lexed.comments,
+        comments: &p.lexed.comments,
         code_lines: tokens.iter().map(|t| t.line).collect(),
         ordering_lines,
-        test_regions: test_regions(tokens),
-        lines: source.lines().collect(),
+        test_regions: &p.test_regions,
+        lines: p.source.lines().collect(),
     };
 
     let in_test_dir = ["/tests/", "/benches/", "/examples/"].iter().any(|d| rel_path.contains(d))
@@ -551,7 +610,7 @@ fn rule_a1(cx: &FileCx<'_>, cfg: &AuditConfig, out: &mut Vec<Violation>) {
             continue;
         }
         let Some(which) = tokens.get(i + 3).and_then(Token::ident) else { continue };
-        if in_regions(&cx.test_regions, i) {
+        if in_regions(cx.test_regions, i) {
             continue;
         }
         let line = tokens[i].line;
@@ -589,7 +648,7 @@ fn rule_a2(cx: &FileCx<'_>, out: &mut Vec<Violation>) {
         }
     };
     for i in 0..tokens.len() {
-        if in_regions(&cx.test_regions, i) {
+        if in_regions(cx.test_regions, i) {
             continue;
         }
         let line = tokens[i].line;
@@ -666,7 +725,7 @@ fn rule_a3(cx: &FileCx<'_>, out: &mut Vec<Violation>) {
 fn rule_a4(cx: &FileCx<'_>, out: &mut Vec<Violation>) {
     let tokens = cx.tokens;
     for i in 0..tokens.len() {
-        if in_regions(&cx.test_regions, i) {
+        if in_regions(cx.test_regions, i) {
             continue;
         }
         let hit = (tokens[i].ident() == Some("fs")
@@ -779,16 +838,156 @@ fn rule_a6(cx: &FileCx<'_>, out: &mut Vec<Violation>) {
 }
 
 // ---------------------------------------------------------------------
+// A7: the cross-file rule
+// ---------------------------------------------------------------------
+
+/// Keywords whose next identifier names the item being defined; that
+/// identifier is a definition, not a use.
+const ITEM_KEYWORDS: [&str; 9] =
+    ["fn", "struct", "enum", "trait", "type", "const", "static", "union", "mod"];
+
+/// Files that count as A7 users but are not audited themselves.
+fn is_user_only(rel_path: &str) -> bool {
+    rel_path.starts_with("examples/") || rel_path.starts_with("perfbench/")
+}
+
+/// `crates/<name>/src/...`: where A7 looks for dead `pub` items.
+fn in_crate_src(rel_path: &str) -> bool {
+    rel_path
+        .strip_prefix("crates/")
+        .and_then(|rest| rest.split_once('/'))
+        .is_some_and(|(_, rest)| rest.starts_with("src/"))
+}
+
+/// Token-index ranges of `use …;` items (re-exports included).
+fn use_items(tokens: &[Token]) -> Vec<(usize, usize)> {
+    let mut items = Vec::new();
+    let mut i = 0;
+    while i < tokens.len() {
+        if tokens[i].ident() == Some("use") {
+            let end = (i..tokens.len()).find(|&j| tokens[j].is_punct(';')).unwrap_or(tokens.len());
+            items.push((i, end));
+            i = end;
+        }
+        i += 1;
+    }
+    items
+}
+
+/// Counts the identifier tokens of `p` that are uses, skipping
+/// definitions and import paths. `keep` selects the token indices
+/// counted. The source of a `use … as` rename counts: its uses go by
+/// the other name.
+fn count_uses(p: &Parsed<'_>, keep: impl Fn(usize) -> bool, counts: &mut HashMap<String, usize>) {
+    let tokens = &p.lexed.tokens;
+    let imports = use_items(tokens);
+    for (i, t) in tokens.iter().enumerate() {
+        let Some(name) = t.ident() else { continue };
+        let defined = i > 0 && tokens[i - 1].ident().is_some_and(|k| ITEM_KEYWORDS.contains(&k));
+        let imported =
+            in_regions(&imports, i) && tokens.get(i + 1).and_then(Token::ident) != Some("as");
+        if !defined && !imported && keep(i) {
+            *counts.entry(name.to_string()).or_default() += 1;
+        }
+    }
+}
+
+/// True when one of the attributes right before token `i` is exactly
+/// `#[cfg(test)]`.
+fn has_cfg_test_attr(tokens: &[Token], mut i: usize) -> bool {
+    while i > 0 && tokens[i - 1].is_punct(']') {
+        let Some(open) = (0..i - 1).rev().find(|&j| tokens[j].is_punct('[')) else {
+            return false;
+        };
+        if matches!(&tokens[open + 1..i - 1], [c, l, t, r] if c.ident() == Some("cfg")
+            && l.is_punct('(') && t.ident() == Some("test") && r.is_punct(')'))
+        {
+            return true;
+        }
+        i = open.saturating_sub(1); // the attribute's `#`
+    }
+    false
+}
+
+/// The `pub` items defined in the non-test code of `p`: `(token index
+/// of the name, kind)`. Restricted visibilities (`pub(crate)`, …) are
+/// left to rustc's dead-code lint.
+fn pub_items(p: &Parsed<'_>) -> Vec<(usize, &'static str)> {
+    let tokens = &p.lexed.tokens;
+    let ident = |j: usize| tokens.get(j).and_then(Token::ident);
+    let mut items = Vec::new();
+    for i in 0..tokens.len() {
+        if ident(i) != Some("pub") || tokens.get(i + 1).is_some_and(|t| t.is_punct('(')) {
+            continue;
+        }
+        let mut j = i + 1;
+        while matches!(ident(j), Some("unsafe" | "async" | "extern"))
+            || (ident(j) == Some("const") && matches!(ident(j + 1), Some("fn" | "unsafe")))
+        {
+            j += 1;
+        }
+        let Some(&kind) = ident(j).and_then(|k| ITEM_KEYWORDS.iter().find(|&&w| w == k)) else {
+            continue;
+        };
+        if kind == "mod" {
+            continue;
+        }
+        if kind == "static" && ident(j + 1) == Some("mut") {
+            j += 1;
+        }
+        if ident(j + 1).is_none() || in_regions(&p.test_regions, i) || has_cfg_test_attr(tokens, i)
+        {
+            continue;
+        }
+        items.push((j + 1, kind));
+    }
+    items
+}
+
+/// A7: a `pub` item in `crates/*/src` non-test code whose name is used
+/// nowhere but in its own file's `#[cfg(test)]` code. Matching is by
+/// name over every file, so the rule can miss a dead item that shares
+/// a name with a used one, but never flags a used name.
+fn rule_a7(parsed: &[Parsed<'_>], out: &mut Vec<Violation>) {
+    let mut uses = HashMap::new();
+    for p in parsed {
+        count_uses(p, |_| true, &mut uses);
+    }
+    for p in parsed.iter().filter(|p| in_crate_src(p.rel_path)) {
+        let mut own_test_uses = HashMap::new();
+        count_uses(p, |i| in_regions(&p.test_regions, i), &mut own_test_uses);
+        for (i, kind) in pub_items(p) {
+            let token = &p.lexed.tokens[i];
+            let name = token.ident().unwrap_or("");
+            let outside = uses.get(name).copied().unwrap_or(0)
+                - own_test_uses.get(name).copied().unwrap_or(0);
+            if outside == 0 && !waived(&p.lexed.comments, token.line, Rule::A7) {
+                out.push(Violation {
+                    file: p.rel_path.to_string(),
+                    line: token.line,
+                    rule: Rule::A7,
+                    message: format!(
+                        "pub {kind} `{name}` is used nowhere outside its definition and its \
+                         file's tests; delete it or waive it naming its outside user"
+                    ),
+                });
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Tree walking
 // ---------------------------------------------------------------------
 
-/// Collects the `.rs` files the audit covers: `<root>/crates`,
-/// `<root>/src` and `<root>/tests`, excluding `vendor/`, `target/`, and
-/// the analyzer's own seeded-violation fixtures. Paths come back sorted,
-/// repo-relative, forward-slashed.
+/// Collects the `.rs` files the audit reads: the audited tree
+/// (`<root>/crates`, `<root>/src`, `<root>/tests`) plus `<root>/examples`
+/// and `<root>/perfbench/src`, which only count as A7 users. `vendor/`,
+/// `target/` and the analyzer's own seeded-violation fixtures are
+/// skipped. Paths come back sorted.
 pub fn collect_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
-    for top in ["crates", "src", "tests"] {
+    for top in ["crates", "src", "tests", "examples", "perfbench/src"] {
         let dir = root.join(top);
         if dir.is_dir() {
             walk(&dir, &mut files)?;
@@ -814,20 +1013,15 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Runs the audit over a checkout rooted at `root`. Findings are sorted
-/// by (file, line, rule).
+/// Runs the audit over a checkout rooted at `root`: returns the number
+/// of files read and the findings, sorted by (file, line, rule).
 pub fn audit_tree(root: &Path, cfg: &AuditConfig) -> std::io::Result<(usize, Vec<Violation>)> {
-    let files = collect_files(root)?;
-    let mut violations = Vec::new();
-    for path in &files {
-        let rel = path.strip_prefix(root).unwrap_or(path).to_string_lossy().replace('\\', "/");
-        let source = std::fs::read_to_string(path)?;
-        violations.extend(analyze_source(&rel, &source, cfg));
+    let mut sources = Vec::new();
+    for path in collect_files(root)? {
+        let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy().replace('\\', "/");
+        sources.push((rel, std::fs::read_to_string(&path)?));
     }
-    violations.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.rule.name()).cmp(&(b.file.as_str(), b.line, b.rule.name()))
-    });
-    Ok((files.len(), violations))
+    Ok((sources.len(), analyze_sources(&sources, cfg)))
 }
 
 #[cfg(test)]

@@ -6,9 +6,10 @@
 //! pacga-audit [--root DIR] [--list-rules]
 //! ```
 //!
-//! Walks `<root>/crates` and `<root>/src` (default root: the current
+//! Walks `<root>/crates`, `<root>/src` and `<root>/tests` (default root: the current
 //! directory, or the enclosing workspace when run via `cargo run -p
-//! pacga_audit`), prints one `file:line RULE message` per finding, and
+//! pacga_audit`), plus `<root>/examples` and `<root>/perfbench/src` as
+//! users for rule A7, prints one `file:line RULE message` per finding, and
 //! exits 1 when any rule fires. See DESIGN.md §11 for the rules and the
 //! `pacga:allow(RULE)` waiver syntax.
 
@@ -20,8 +21,9 @@ use pacga_audit::{audit_tree, AuditConfig, Rule};
 fn usage() -> &'static str {
     "usage: pacga-audit [--root DIR] [--list-rules]\n\
      \n\
-     Runs the repo's static invariant checks (rules A1-A6) over\n\
-     <root>/crates, <root>/src and <root>/tests. Exits 1 on any violation."
+     Runs the repo's static invariant checks (rules A1-A7) over\n\
+     <root>/crates, <root>/src and <root>/tests; rule A7 also counts\n\
+     uses in <root>/examples and <root>/perfbench/src. Exits 1 on any violation."
 }
 
 fn main() -> ExitCode {
@@ -64,7 +66,7 @@ fn main() -> ExitCode {
     match audit_tree(&root, &cfg) {
         Ok((n_files, violations)) => {
             if violations.is_empty() {
-                println!("pacga-audit: {n_files} files clean (rules A1-A6)");
+                println!("pacga-audit: {n_files} files clean (rules A1-A7)");
                 ExitCode::SUCCESS
             } else {
                 for v in &violations {

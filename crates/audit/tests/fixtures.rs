@@ -1,9 +1,10 @@
 //! Fixture tests: each seeded-violation file under `tests/fixtures/`
 //! must produce exactly the expected `file:line rule` findings when
 //! analyzed under a virtual repo-relative path, the waived fixture must
-//! come back clean, and the real tree must audit clean end to end.
+//! come back clean, and the real tree must audit clean end to end. The
+//! cross-file rule A7 runs over a small virtual tree of fixture files.
 
-use pacga_audit::{analyze_source, audit_tree, AuditConfig, Rule};
+use pacga_audit::{analyze_source, analyze_sources, audit_tree, AuditConfig, Rule};
 
 /// Runs a fixture under a virtual path and returns `(line, rule)` pairs.
 fn findings(virtual_path: &str, source: &str) -> Vec<(usize, Rule)> {
@@ -84,6 +85,40 @@ fn a6_fixture_covers_test_files_in_crates() {
     assert_eq!(root.len(), 4, "A6 must cover the root tests/: {root:?}");
     let outside = findings("vendor/rand/src/fixture_a6.rs", fixture);
     assert!(outside.is_empty(), "A6 leaked into vendor/: {outside:?}");
+}
+
+/// Runs A1–A7 over a virtual tree of `(path, source)` pairs and returns
+/// `(path, line, rule)` triples.
+fn tree_findings(files: &[(&str, &str)]) -> Vec<(String, usize, Rule)> {
+    let files: Vec<(String, String)> =
+        files.iter().map(|(p, s)| (p.to_string(), s.to_string())).collect();
+    analyze_sources(&files, &AuditConfig::default())
+        .into_iter()
+        .map(|v| (v.file, v.line, v.rule))
+        .collect()
+}
+
+#[test]
+fn a7_fixture_flags_pub_items_nothing_uses() {
+    let lib = "crates/fixture/src/lib.rs";
+    let got = tree_findings(&[
+        (lib, include_str!("fixtures/a7_violation.rs")),
+        ("perfbench/src/users.rs", include_str!("fixtures/a7_users.rs")),
+    ]);
+    let want: Vec<_> =
+        [9, 15, 17, 19, 21].iter().map(|&l| (lib.to_string(), l, Rule::A7)).collect();
+    assert_eq!(got, want, "perfbench/src counts as a user but is not itself audited");
+}
+
+#[test]
+fn a7_fixture_needs_the_outside_user() {
+    // Without its user file, the example-only item is dead too; outside
+    // crates/*/src nothing is an A7 candidate.
+    let lib = include_str!("fixtures/a7_violation.rs");
+    let got = tree_findings(&[("crates/fixture/src/lib.rs", lib)]);
+    assert_eq!(got.len(), 7, "{got:?}");
+    assert_eq!((got[0].1, got[0].2), (5, Rule::A7));
+    assert!(tree_findings(&[("crates/fixture/tests/lib.rs", lib)]).is_empty());
 }
 
 #[test]

@@ -65,7 +65,7 @@ pub fn run_islands(budget: &Budget) -> String {
         let mut bests = Vec::new();
         let mut evals = 0u64;
         let mut secs = 0.0;
-        for result in run_weighted_jobs(jobs, workers, None) {
+        for result in run_weighted_jobs(jobs, workers) {
             let (best, e, s) = result.expect("island run failed");
             bests.push(best);
             evals = e;

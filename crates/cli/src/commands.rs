@@ -874,181 +874,82 @@ pub fn cmd_job(verb: &str, args: &Args) -> Result<String, CliError> {
     }
 }
 
+/// A subcommand's handler: its positional verb (empty for commands that
+/// take none) and its parsed flags.
+type Handler = fn(&str, &Args) -> Result<String, CliError>;
+
+/// Every subcommand: its name, the verbs it requires in first position
+/// (for the "needs a verb" error) and its handler. The flags each one
+/// accepts are read from its [`USAGE`] synopsis ([`synopsis_flags`]).
+const COMMANDS: [(&str, Option<&str>, Handler); 12] = [
+    ("list", None, |_, _| Ok(cmd_list())),
+    ("generate", None, |_, args| cmd_generate(args)),
+    ("info", None, |_, args| cmd_info(args)),
+    ("heuristics", None, |_, args| cmd_heuristics(args)),
+    ("schedule", None, |_, args| cmd_schedule(args)),
+    ("simulate", None, |_, args| cmd_simulate(args)),
+    ("sweep", None, |_, args| cmd_sweep(args)),
+    ("serve", None, |_, args| cmd_serve(args)),
+    ("corpus", Some("build|ls|verify"), cmd_corpus),
+    ("bench-serve", None, |_, args| cmd_bench_serve(args)),
+    ("chaos", None, |_, args| cmd_chaos(args)),
+    ("job", Some("start|status|log|stop|archive|list"), cmd_job),
+];
+
+/// The `--flags` named in `command`'s synopsis lines of [`USAGE`] (the
+/// block between `USAGE:` and the first blank line; a synopsis runs from
+/// its `  pacga <command>` line to the next one). They are the only
+/// flags [`dispatch`] accepts for `command`, so the help text and the
+/// parser cannot drift apart.
+fn synopsis_flags(command: &str) -> Vec<&'static str> {
+    let synopses = USAGE.split_once("USAGE:\n").map_or("", |(_, rest)| rest);
+    let synopses = synopses.split_once("\n\n").map_or(synopses, |(block, _)| block);
+    let mut current = "";
+    let mut flags = Vec::new();
+    for line in synopses.lines() {
+        if let Some(rest) = line.strip_prefix("  pacga ") {
+            current = rest.split_whitespace().next().unwrap_or("");
+        }
+        if current != command {
+            continue;
+        }
+        for after in line.split("--").skip(1) {
+            let end = after.find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+            let flag = &after[..end.unwrap_or(after.len())];
+            if !flag.is_empty() && !flags.contains(&flag) {
+                flags.push(flag);
+            }
+        }
+    }
+    flags
+}
+
+/// Resolves a command line to its handler, verb and flags without
+/// running it.
+fn parse_command(mut tokens: Vec<String>) -> Result<(Handler, String, Args), CliError> {
+    let command = tokens.first().cloned().unwrap_or_default();
+    let Some(&(name, verbs, run)) = COMMANDS.iter().find(|(name, ..)| *name == command) else {
+        return Err(CliError::Other(format!("unknown command {command:?}\n\n{USAGE}")));
+    };
+    let mut verb = String::new();
+    if let Some(verbs) = verbs {
+        // The verb is positional: `pacga job status --job x`.
+        match tokens.get(1) {
+            Some(v) if !v.starts_with("--") => verb = tokens.remove(1),
+            _ => return Err(CliError::Other(format!("{name} needs a verb: {verbs}\n\n{USAGE}"))),
+        }
+    }
+    let args = Args::parse(tokens, &synopsis_flags(name))?;
+    Ok((run, verb, args))
+}
+
 /// Dispatches a full command line (tokens exclude the program name).
 pub fn dispatch(tokens: Vec<String>) -> Result<String, CliError> {
-    let command = tokens.first().cloned().unwrap_or_default();
-    match command.as_str() {
-        "list" => {
-            Args::parse(tokens, &[])?;
-            Ok(cmd_list())
-        }
-        "generate" => {
-            let args = Args::parse(
-                tokens,
-                &[
-                    "tasks",
-                    "machines",
-                    "consistency",
-                    "task-het",
-                    "machine-het",
-                    "seed",
-                    "name",
-                    "out",
-                ],
-            )?;
-            cmd_generate(&args)
-        }
-        "info" => {
-            let args = Args::parse(tokens, &["braun", "instance"])?;
-            cmd_info(&args)
-        }
-        "heuristics" => {
-            let args = Args::parse(tokens, &["braun", "instance"])?;
-            cmd_heuristics(&args)
-        }
-        "schedule" => {
-            let args = Args::parse(
-                tokens,
-                &[
-                    "braun",
-                    "instance",
-                    "heuristic",
-                    "threads",
-                    "time-ms",
-                    "evals",
-                    "seed",
-                    "crossover",
-                    "ls",
-                    "out",
-                ],
-            )?;
-            cmd_schedule(&args)
-        }
-        "simulate" => {
-            let args =
-                Args::parse(tokens, &["braun", "instance", "p-fail", "seed", "evals", "policy"])?;
-            cmd_simulate(&args)
-        }
-        "sweep" => {
-            let args = Args::parse(
-                tokens,
-                &[
-                    "braun",
-                    "all",
-                    "runs",
-                    "time-ms",
-                    "evals",
-                    "gens",
-                    "threads",
-                    "ls",
-                    "crossover",
-                    "seed",
-                    "workers",
-                ],
-            )?;
-            cmd_sweep(&args)
-        }
-        "serve" => {
-            let args = Args::parse(
-                tokens,
-                &[
-                    "addr",
-                    "workers",
-                    "queue-cap",
-                    "cache-cap",
-                    "batch-max",
-                    "data-dir",
-                    "checkpoint-gens",
-                    "archive-keep-days",
-                    "corpus",
-                ],
-            )?;
-            cmd_serve(&args)
-        }
-        "corpus" => {
-            // The verb is positional: `pacga corpus build --braun`.
-            let verb = match tokens.get(1) {
-                Some(v) if !v.starts_with("--") => v.clone(),
-                _ => {
-                    return Err(CliError::Other(format!(
-                        "corpus needs a verb: build|ls|verify\n\n{USAGE}"
-                    )))
-                }
-            };
-            let mut rest = tokens;
-            rest.remove(1);
-            let args = Args::parse(rest, &["braun", "large", "out", "corpus"])?;
-            cmd_corpus(&verb, &args)
-        }
-        "bench-serve" => {
-            let args = Args::parse(
-                tokens,
-                &[
-                    "addr", "clients", "requests", "evals", "seed", "distinct", "tasks",
-                    "machines", "shutdown", "timeout", "retries",
-                ],
-            )?;
-            cmd_bench_serve(&args)
-        }
-        "chaos" => {
-            let args = Args::parse(
-                tokens,
-                &[
-                    "addr",
-                    "tasks",
-                    "machines",
-                    "events",
-                    "evals",
-                    "seed",
-                    "grid",
-                    "storm",
-                    "session",
-                    "resume",
-                    "reschedule-baseline",
-                    "no-probes",
-                    "assert-warm-wins",
-                    "shutdown",
-                    "timeout",
-                ],
-            )?;
-            cmd_chaos(&args)
-        }
-        "job" => {
-            // The verb is positional: `pacga job status --job x`.
-            let verb = match tokens.get(1) {
-                Some(v) if !v.starts_with("--") => v.clone(),
-                _ => {
-                    return Err(CliError::Other(format!(
-                        "job needs a verb: start|status|log|stop|archive|list\n\n{USAGE}"
-                    )))
-                }
-            };
-            let mut rest = tokens;
-            rest.remove(1);
-            let args = Args::parse(
-                rest,
-                &[
-                    "addr",
-                    "timeout",
-                    "retries",
-                    "job",
-                    "braun",
-                    "checkpoint-gens",
-                    "evals",
-                    "gens",
-                    "time-ms",
-                    "seed",
-                    "threads",
-                    "ls",
-                    "crossover",
-                    "tail",
-                ],
-            )?;
-            cmd_job(&verb, &args)
-        }
-        "help" | "--help" | "-h" | "" => Ok(USAGE.to_string()),
-        other => Err(CliError::Other(format!("unknown command {other:?}\n\n{USAGE}"))),
+    if matches!(tokens.first().map(String::as_str), None | Some("help" | "--help" | "-h" | "")) {
+        return Ok(USAGE.to_string());
     }
+    let (run, verb, args) = parse_command(tokens)?;
+    run(&verb, &args)
 }
 
 #[cfg(test)]
@@ -1137,6 +1038,49 @@ mod tests {
         ] {
             assert!(USAGE.contains(&format!("pacga {cmd}")), "{cmd} missing from USAGE");
         }
+    }
+
+    #[test]
+    fn every_synopsis_flag_parses_and_no_other_flag_does() {
+        let synopses: Vec<&str> = USAGE
+            .lines()
+            .filter_map(|l| l.strip_prefix("  pacga "))
+            .filter_map(|rest| rest.split_whitespace().next())
+            .collect();
+        for (name, ..) in COMMANDS {
+            assert!(synopses.contains(&name), "{name} has no synopsis");
+        }
+        for name in &synopses {
+            assert!(COMMANDS.iter().any(|(n, ..)| n == name), "{name} has no handler");
+        }
+        let mut total = 0;
+        for (name, verbs, _) in COMMANDS {
+            let verb = verbs.and_then(|v| v.split('|').next());
+            let line = |flag: &str| -> Vec<String> {
+                [Some(name), verb, Some(flag), Some("v")]
+                    .into_iter()
+                    .flatten()
+                    .map(String::from)
+                    .collect()
+            };
+            let flags = synopsis_flags(name);
+            total += flags.len();
+            for flag in &flags {
+                let (_, _, args) = parse_command(line(&format!("--{flag}")))
+                    .unwrap_or_else(|e| panic!("{name} --{flag}: {e}"));
+                assert_eq!(args.get(flag), Some("v"), "{name} --{flag}");
+            }
+            match parse_command(line("--not-in-synopsis")) {
+                Err(CliError::Args(ArgError::Unknown { command, flag })) => {
+                    assert_eq!((command.as_str(), flag.as_str()), (name, "not-in-synopsis"));
+                }
+                other => panic!("{name} accepted a flag outside its synopsis: {:?}", other.is_ok()),
+            }
+        }
+        // The allow lists the synopses replaced: generate 8, info 2,
+        // heuristics 2, schedule 10, simulate 6, sweep 11, serve 9,
+        // corpus 4, bench-serve 11, chaos 15, job 14, list 0.
+        assert_eq!(total, 92);
     }
 
     #[test]

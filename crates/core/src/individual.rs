@@ -47,12 +47,6 @@ impl Individual {
         self.fitness.to_bits()
     }
 
-    /// `true` if this individual strictly improves on `other`.
-    #[inline]
-    pub fn better_than(&self, other: &Individual) -> bool {
-        self.fitness < other.fitness
-    }
-
     /// Copies `other` into `self` without reallocating (hot path under a
     /// write lock).
     pub fn copy_from(&mut self, other: &Individual) {
@@ -87,18 +81,6 @@ mod tests {
         let after = ind.evaluate();
         assert!(after > before);
         assert_eq!(ind.fitness, after);
-    }
-
-    #[test]
-    fn better_than_is_strict() {
-        let inst = EtcInstance::toy(4, 2);
-        let a = Individual::new(Schedule::round_robin(&inst));
-        let b = a.clone();
-        assert!(!a.better_than(&b));
-        let mut c = a.clone();
-        c.fitness += 1.0;
-        assert!(a.better_than(&c));
-        assert!(!c.better_than(&a));
     }
 
     #[test]

@@ -29,29 +29,6 @@ pub fn partition_blocks(len: usize, n_blocks: usize) -> Vec<Range<usize>> {
     blocks
 }
 
-/// Which block owns a given individual index.
-pub fn block_of(blocks: &[Range<usize>], index: usize) -> usize {
-    blocks
-        .iter()
-        .position(|r| r.contains(&index))
-        .unwrap_or_else(|| panic!("index {index} outside all blocks"))
-}
-
-/// Number of individuals in a block whose L5 neighborhood crosses the
-/// block boundary — the contention metric the paper's speedup discussion
-/// (§4.2) reasons about. For a `width`-column grid, an individual is a
-/// boundary cell when its north or south neighbor falls outside the block.
-pub fn boundary_cells(block: &Range<usize>, width: usize, len: usize) -> usize {
-    block
-        .clone()
-        .filter(|&i| {
-            let north = (i + len - width) % len;
-            let south = (i + width) % len;
-            !block.contains(&north) || !block.contains(&south)
-        })
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,32 +67,6 @@ mod tests {
     fn single_block_is_everything() {
         let blocks = partition_blocks(64, 1);
         assert_eq!(blocks, vec![0..64]);
-    }
-
-    #[test]
-    fn block_of_lookup() {
-        let blocks = partition_blocks(64, 4);
-        assert_eq!(block_of(&blocks, 0), 0);
-        assert_eq!(block_of(&blocks, 15), 0);
-        assert_eq!(block_of(&blocks, 16), 1);
-        assert_eq!(block_of(&blocks, 63), 3);
-    }
-
-    #[test]
-    fn more_threads_more_boundary_fraction() {
-        // The paper: smaller blocks -> more individuals on the boundary.
-        let len = 256;
-        let width = 16;
-        let frac = |n: usize| -> f64 {
-            let blocks = partition_blocks(len, n);
-            let total: usize = blocks.iter().map(|b| boundary_cells(b, width, len)).sum();
-            total as f64 / len as f64
-        };
-        assert!(frac(2) <= frac(4));
-        assert!(frac(4) <= frac(8));
-        // With 16-row blocks of a 16x16 grid split 8 ways (2 rows each),
-        // every cell is a boundary cell.
-        assert_eq!(frac(8), 1.0);
     }
 
     #[test]

@@ -25,9 +25,6 @@
 //! * **Panic isolation.** Each job runs under `catch_unwind`; one
 //!   panicking spec yields an `Err` slot in the report and the pool keeps
 //!   draining the queue.
-//! * **Streaming progress.** An optional callback observes every
-//!   completion (index + completed/total), for long sweeps that want a
-//!   ticker.
 //!
 //! The typed surface is [`Portfolio`] over [`RunSpec`]s — anything
 //! implementing the small [`Runnable`] trait ([`PaCga`], [`SyncCga`], the
@@ -176,18 +173,6 @@ impl std::fmt::Display for JobPanic {
 /// One job's result slot: the outcome, or the panic that replaced it.
 pub type JobResult<T> = Result<T, JobPanic>;
 
-/// A completion notification streamed to [`Portfolio::on_progress`]
-/// callbacks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProgressEvent {
-    /// Submission index of the job that just finished.
-    pub index: usize,
-    /// Jobs finished so far (including this one).
-    pub completed: usize,
-    /// Portfolio size.
-    pub total: usize,
-}
-
 /// Counting semaphore (std has none): guards the pool's admitted weight.
 /// Also used by the service's durable job manager to admit resumed jobs
 /// against the daemon's worker budget.
@@ -245,11 +230,7 @@ pub fn resolve_workers_from(requested: Option<usize>, env: Option<&str>, jobs: u
 /// closures, each run under `catch_unwind` so a panicking job surrenders
 /// only its own slot. Weights are clamped to the pool capacity; the sum
 /// of the weights executing at any instant never exceeds `workers`.
-pub fn run_weighted_jobs<T, F>(
-    jobs: Vec<(usize, F)>,
-    workers: usize,
-    progress: Option<&(dyn Fn(ProgressEvent) + Sync)>,
-) -> Vec<JobResult<T>>
+pub fn run_weighted_jobs<T, F>(jobs: Vec<(usize, F)>, workers: usize) -> Vec<JobResult<T>>
 where
     F: FnOnce() -> T + Send,
     T: Send,
@@ -268,7 +249,6 @@ where
     }
     let results: Vec<Mutex<Option<JobResult<T>>>> = (0..total).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    let completed = AtomicUsize::new(0);
     let capacity = Semaphore::new(workers);
 
     std::thread::scope(|scope| {
@@ -286,13 +266,6 @@ where
                 let result = catch_unwind(AssertUnwindSafe(job)).map_err(JobPanic::from_payload);
                 capacity.release(weights[i]);
                 *results[i].lock() = Some(result);
-                // ord: Relaxed — monotonic progress counter; fetch_add
-                // returns a globally unique count and the result slot was
-                // already published under its Mutex above.
-                let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                if let Some(notify) = progress {
-                    notify(ProgressEvent { index: i, completed: done, total });
-                }
             });
         }
     });
@@ -311,21 +284,20 @@ where
     T: Send,
 {
     let workers = resolve_workers(None, jobs.len());
-    run_weighted_jobs(jobs.into_iter().map(|j| (1, j)).collect(), workers, None)
+    run_weighted_jobs(jobs.into_iter().map(|j| (1, j)).collect(), workers)
 }
 
 /// A portfolio of [`RunSpec`]s awaiting execution.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct Portfolio<'a> {
     specs: Vec<RunSpec<'a>>,
     workers: Option<usize>,
-    progress: Option<Box<dyn Fn(ProgressEvent) + Sync + 'a>>,
 }
 
 impl<'a> Portfolio<'a> {
     /// An empty portfolio.
     pub fn new() -> Self {
-        Self { specs: Vec::new(), workers: None, progress: None }
+        Self::default()
     }
 
     /// Appends a spec; its index is the current portfolio size.
@@ -360,12 +332,6 @@ impl<'a> Portfolio<'a> {
         self
     }
 
-    /// Installs a streaming completion callback.
-    pub fn on_progress(mut self, notify: impl Fn(ProgressEvent) + Sync + 'a) -> Self {
-        self.progress = Some(Box::new(notify));
-        self
-    }
-
     /// Executes every spec and collects results keyed by submission
     /// index.
     pub fn execute(self) -> PortfolioReport {
@@ -379,17 +345,8 @@ impl<'a> Portfolio<'a> {
             let job = spec.job;
             jobs.push((spec.weight, Box::new(move || job.run_once())));
         }
-        let results = run_weighted_jobs(jobs, workers, self.progress.as_deref());
+        let results = run_weighted_jobs(jobs, workers);
         PortfolioReport { labels, results, workers, elapsed: start.elapsed() }
-    }
-}
-
-impl std::fmt::Debug for Portfolio<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Portfolio")
-            .field("specs", &self.specs)
-            .field("workers", &self.workers)
-            .finish_non_exhaustive()
     }
 }
 
@@ -502,33 +459,9 @@ mod tests {
     fn weights_clamp_and_admit() {
         // A weight larger than the pool must clamp, not deadlock.
         let jobs: Vec<(usize, _)> = (0..4).map(|i| (usize::MAX, move || i * 2)).collect();
-        let out = run_weighted_jobs(jobs, 2, None);
+        let out = run_weighted_jobs(jobs, 2);
         let values: Vec<usize> = out.into_iter().map(|r| r.unwrap()).collect();
         assert_eq!(values, vec![0, 2, 4, 6]);
-    }
-
-    #[test]
-    fn progress_events_cover_every_job() {
-        let seen = Mutex::new(Vec::new());
-        let jobs: Vec<_> = (0..5).map(|i| move || i).collect();
-        let workers = 2;
-        let results = run_weighted_jobs(
-            jobs.into_iter().map(|j| (1, j)).collect(),
-            workers,
-            Some(&|e: ProgressEvent| seen.lock().push(e)),
-        );
-        assert_eq!(results.len(), 5);
-        let mut events = seen.into_inner();
-        assert_eq!(events.len(), 5);
-        events.sort_by_key(|e| e.index);
-        for (i, e) in events.iter().enumerate() {
-            assert_eq!(e.index, i);
-            assert_eq!(e.total, 5);
-        }
-        // `completed` counts are a permutation of 1..=5.
-        let mut counts: Vec<usize> = events.iter().map(|e| e.completed).collect();
-        counts.sort_unstable();
-        assert_eq!(counts, vec![1, 2, 3, 4, 5]);
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub fn encode_instance(instance: &EtcInstance) -> Result<Vec<u8>, BinError> {
         .map_err(|_| BinError::Name(format!("{} bytes exceeds the u16 field", name.len())))?;
     let n_tasks = instance.n_tasks();
     let n_machines = instance.n_machines();
-    let mut out = Vec::with_capacity(10 + name.len() + 8 * n_machines + 8 * n_tasks * n_machines);
+    let mut out = Vec::with_capacity(encoded_len(instance));
     out.extend_from_slice(&name_len.to_le_bytes());
     out.extend_from_slice(name);
     out.extend_from_slice(&(n_tasks as u32).to_le_bytes());
@@ -90,7 +90,7 @@ pub fn encode_instance(instance: &EtcInstance) -> Result<Vec<u8>, BinError> {
 }
 
 /// The exact encoded size of an instance payload, without encoding it.
-pub fn encoded_len(instance: &EtcInstance) -> usize {
+fn encoded_len(instance: &EtcInstance) -> usize {
     10 + instance.name().len()
         + 8 * instance.n_machines()
         + 8 * instance.n_tasks() * instance.n_machines()

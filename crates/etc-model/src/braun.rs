@@ -37,18 +37,11 @@ impl BraunInstance {
 /// Seed base; each instance offsets from it so seeds are stable constants.
 const SEED_BASE: u64 = 0x9A_2010_1EAF;
 
-fn entry(
-    name: &'static str,
-    idx: u64,
-    c: Consistency,
-    th: Heterogeneity,
-    mh: Heterogeneity,
-    pmin: f64,
-    pmax: f64,
-) -> BraunInstance {
+/// A registry entry: the generator parameters come from the name.
+fn entry(name: &'static str, pmin: f64, pmax: f64) -> BraunInstance {
     BraunInstance {
         name,
-        params: GeneratorParams::benchmark(c, th, mh, SEED_BASE + idx),
+        params: parse_braun_name(name).expect("registry names follow the Braun convention"),
         paper_range: EtcRange::new(pmin, pmax),
     }
 }
@@ -56,21 +49,19 @@ fn entry(
 /// The full registry, in the paper's Table 2 order
 /// (consistent, semi-consistent, inconsistent × hihi, hilo, lohi, lolo).
 pub fn braun_registry() -> Vec<BraunInstance> {
-    use Consistency::*;
-    use Heterogeneity::*;
     vec![
-        entry("u_c_hihi.0", 0, Consistent, High, High, 26.48, 2_892_648.25),
-        entry("u_c_hilo.0", 1, Consistent, High, Low, 10.01, 29_316.04),
-        entry("u_c_lohi.0", 2, Consistent, Low, High, 12.59, 99_633.62),
-        entry("u_c_lolo.0", 3, Consistent, Low, Low, 1.44, 975.30),
-        entry("u_s_hihi.0", 4, SemiConsistent, High, High, 185.37, 2_980_246.00),
-        entry("u_s_hilo.0", 5, SemiConsistent, High, Low, 5.63, 29_346.51),
-        entry("u_s_lohi.0", 6, SemiConsistent, Low, High, 4.02, 98_586.44),
-        entry("u_s_lolo.0", 7, SemiConsistent, Low, Low, 1.69, 969.27),
-        entry("u_i_hihi.0", 8, Inconsistent, High, High, 75.44, 2_968_769.25),
-        entry("u_i_hilo.0", 9, Inconsistent, High, Low, 16.00, 29_914.19),
-        entry("u_i_lohi.0", 10, Inconsistent, Low, High, 13.21, 98_323.66),
-        entry("u_i_lolo.0", 11, Inconsistent, Low, Low, 1.03, 973.09),
+        entry("u_c_hihi.0", 26.48, 2_892_648.25),
+        entry("u_c_hilo.0", 10.01, 29_316.04),
+        entry("u_c_lohi.0", 12.59, 99_633.62),
+        entry("u_c_lolo.0", 1.44, 975.30),
+        entry("u_s_hihi.0", 185.37, 2_980_246.00),
+        entry("u_s_hilo.0", 5.63, 29_346.51),
+        entry("u_s_lohi.0", 4.02, 98_586.44),
+        entry("u_s_lolo.0", 1.69, 969.27),
+        entry("u_i_hihi.0", 75.44, 2_968_769.25),
+        entry("u_i_hilo.0", 16.00, 29_914.19),
+        entry("u_i_lohi.0", 13.21, 98_323.66),
+        entry("u_i_lolo.0", 1.03, 973.09),
     ]
 }
 
@@ -93,9 +84,9 @@ pub fn braun_instance(name: &str) -> EtcInstance {
 }
 
 /// Parses any Braun-convention name (`u_<c|s|i>_<hi|lo><hi|lo>.<k>`) into
-/// generator parameters, supporting arbitrary `k` replicas beyond the 12
-/// `.0` registry entries (each `(class, k)` pair gets its own fixed seed).
-pub fn parse_braun_name(name: &str) -> Option<GeneratorParams> {
+/// generator parameters: the registry's `.0` entries and `k` replicas
+/// beyond them (each `(class, k)` pair gets its own fixed seed).
+fn parse_braun_name(name: &str) -> Option<GeneratorParams> {
     let rest = name.strip_prefix("u_")?;
     let (class, rest) = rest.split_at(1);
     let consistency = Consistency::from_code(class.chars().next()?)?;
@@ -125,19 +116,6 @@ pub fn parse_braun_name(name: &str) -> Option<GeneratorParams> {
         mach_het,
         SEED_BASE + class_idx + 1000 * k,
     ))
-}
-
-/// Regenerates any `u_x_yyzz.k` instance, including `k > 0` replicas
-/// (same class, independent draws — for experiments needing more than one
-/// instance per class).
-///
-/// # Panics
-///
-/// Panics on names that do not follow the Braun convention.
-pub fn braun_instance_any(name: &str) -> EtcInstance {
-    let params =
-        parse_braun_name(name).unwrap_or_else(|| panic!("not a Braun-style name: {name:?}"));
-    EtcGenerator::new(params).generate_named(name)
 }
 
 #[cfg(test)]
@@ -218,27 +196,29 @@ mod replica_tests {
     use super::*;
     use crate::consistency::classify;
 
+    fn replica(name: &str) -> EtcInstance {
+        EtcGenerator::new(parse_braun_name(name).unwrap()).generate_named(name)
+    }
+
     #[test]
     fn parse_round_trips_registry_names() {
-        for b in braun_registry() {
-            let parsed = parse_braun_name(b.name).expect("registry name parses");
-            assert_eq!(parsed.consistency, b.params.consistency, "{}", b.name);
-            assert_eq!(parsed.task_heterogeneity, b.params.task_heterogeneity);
-            assert_eq!(parsed.machine_heterogeneity, b.params.machine_heterogeneity);
-            assert_eq!(parsed.seed, b.params.seed, "{}: .0 replica uses registry seed", b.name);
+        // The registry's seeds are pinned: entry i of Table 2 order is
+        // seeded `SEED_BASE + i`, whatever derives it.
+        for (i, b) in braun_registry().iter().enumerate() {
+            assert_eq!(b.params.seed, SEED_BASE + i as u64, "{}", b.name);
         }
     }
 
     #[test]
     fn zero_replica_matches_registry_instance() {
-        assert_eq!(braun_instance_any("u_c_hihi.0"), braun_instance("u_c_hihi.0"));
+        assert_eq!(replica("u_c_hihi.0"), braun_instance("u_c_hihi.0"));
     }
 
     #[test]
     fn replicas_differ_but_share_class() {
-        let a = braun_instance_any("u_i_hilo.0");
-        let b = braun_instance_any("u_i_hilo.1");
-        let c = braun_instance_any("u_i_hilo.2");
+        let a = replica("u_i_hilo.0");
+        let b = replica("u_i_hilo.1");
+        let c = replica("u_i_hilo.2");
         assert_ne!(a.etc(), b.etc());
         assert_ne!(b.etc(), c.etc());
         for inst in [&a, &b, &c] {
@@ -254,11 +234,5 @@ mod replica_tests {
         assert!(parse_braun_name("u_c_hihi").is_none());
         assert!(parse_braun_name("x_c_hihi.0").is_none());
         assert!(parse_braun_name("u_c_hihi.abc").is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "not a Braun-style name")]
-    fn braun_instance_any_panics_on_garbage() {
-        braun_instance_any("whatever");
     }
 }

@@ -40,10 +40,7 @@ pub mod ranges;
 
 pub use binary::{decode_instance, encode_instance, BinError};
 pub use blazewicz::blazewicz_notation;
-pub use braun::{
-    braun_instance, braun_instance_any, braun_instance_names, braun_registry, parse_braun_name,
-    BraunInstance,
-};
+pub use braun::{braun_instance, braun_instance_names, braun_registry, BraunInstance};
 pub use consistency::Consistency;
 pub use generator::{EtcGenerator, GeneratorParams};
 pub use heterogeneity::Heterogeneity;

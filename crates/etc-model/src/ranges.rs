@@ -24,14 +24,6 @@ impl EtcRange {
         self.max / self.min
     }
 
-    /// Whether `other` lies within this range, allowing each bound to be
-    /// off by `rel` relatively (used to sanity-check regenerated instances
-    /// against the paper's published ranges, which came from different RNG
-    /// draws of the same distribution).
-    pub fn roughly_contains(&self, other: &EtcRange, rel: f64) -> bool {
-        other.min >= self.min * (1.0 - rel) && other.max <= self.max * (1.0 + rel)
-    }
-
     /// Same order of magnitude on both ends (log10 distance below `tol`).
     pub fn same_magnitude(&self, other: &EtcRange, tol: f64) -> bool {
         (self.max.log10() - other.max.log10()).abs() <= tol
@@ -59,14 +51,6 @@ mod tests {
     fn spread() {
         let r = EtcRange::new(2.0, 20.0);
         assert_eq!(r.spread(), 10.0);
-    }
-
-    #[test]
-    fn roughly_contains() {
-        let paper = EtcRange::new(10.0, 1000.0);
-        assert!(paper.roughly_contains(&EtcRange::new(12.0, 990.0), 0.0));
-        assert!(paper.roughly_contains(&EtcRange::new(9.5, 1040.0), 0.1));
-        assert!(!paper.roughly_contains(&EtcRange::new(1.0, 1000.0), 0.1));
     }
 
     #[test]

@@ -34,14 +34,6 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Mean task turnaround (finish time) — flowtime / #tasks.
-    pub fn mean_finish(&self) -> f64 {
-        if self.tasks.is_empty() {
-            return 0.0;
-        }
-        self.flowtime / self.tasks.len() as f64
-    }
-
     /// Tasks that needed more than one attempt.
     pub fn retried_tasks(&self) -> usize {
         self.tasks.iter().filter(|t| t.aborted_attempts > 0).count()
@@ -86,7 +78,6 @@ mod tests {
             lost_work: 0.0,
             reschedules: 0,
         };
-        assert_eq!(r.mean_finish(), 3.0);
         assert_eq!(r.retried_tasks(), 0);
         assert!(r.validate().is_ok());
     }
@@ -140,7 +131,6 @@ mod tests {
             lost_work: 0.0,
             reschedules: 0,
         };
-        assert_eq!(r.mean_finish(), 0.0);
         assert!(r.validate().is_ok());
     }
 }

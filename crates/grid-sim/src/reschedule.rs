@@ -8,7 +8,6 @@
 use etc_model::{EtcInstance, EtcMatrix};
 use pa_cga_core::config::{PaCgaConfig, Termination};
 use pa_cga_core::engine::PaCga;
-use scheduling::Schedule;
 
 /// A rescheduling policy.
 pub trait Rescheduler {
@@ -124,22 +123,6 @@ impl Rescheduler for PaCgaRescheduler {
     }
 }
 
-/// Helper shared by tests and the batch driver: applies a rescheduler and
-/// folds the result into a full `Schedule` for the surviving machines.
-pub fn apply_reschedule(
-    instance: &EtcInstance,
-    base: &Schedule,
-    orphans: &[usize],
-    new_machines: &[usize],
-) -> Schedule {
-    assert_eq!(orphans.len(), new_machines.len());
-    let mut s = base.clone();
-    for (&t, &m) in orphans.iter().zip(new_machines) {
-        s.move_task(instance, t, m);
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,18 +200,6 @@ mod tests {
                 .reschedule(&inst, &orphans, &alive, &ready),
         );
         assert!(pa <= mct * 1.001, "PA-CGA residual {pa} worse than MCT {mct}");
-    }
-
-    #[test]
-    fn apply_reschedule_moves_only_orphans() {
-        let inst = inst();
-        let base = Schedule::round_robin(&inst);
-        let moved = apply_reschedule(&inst, &base, &[0, 5], &[3, 3]);
-        assert_eq!(moved.machine_of(0), 3);
-        assert_eq!(moved.machine_of(5), 3);
-        for t in [1, 2, 3, 4, 6, 7] {
-            assert_eq!(moved.machine_of(t), base.machine_of(t));
-        }
     }
 
     #[test]

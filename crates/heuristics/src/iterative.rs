@@ -3,9 +3,9 @@
 //!
 //! The naive formulation re-evaluates every unassigned task's best machine
 //! every round — O(T²·M). Two drivers here avoid that, with results
-//! bit-identical to the naive scan (kept as [`min_min_scan`] /
-//! [`max_min_scan`] / [`sufferage_scan`], the oracles of the equivalence
-//! tests):
+//! bit-identical to the naive scan (kept as [`min_min_scan`] and, in
+//! test builds only, `max_min_scan` / `sufferage_scan`: the oracles of
+//! the equivalence tests):
 //!
 //! - **Min-min** sorts each machine's ETC column once. A round's smallest
 //!   completion is then the least of M column heads, so after an
@@ -338,13 +338,17 @@ pub fn min_min_scan(instance: &EtcInstance) -> Schedule {
     iterative_scan(instance, CommitRule::MinMin)
 }
 
-/// [`max_min`] via the retired full-rescan driver (see [`min_min_scan`]).
-pub fn max_min_scan(instance: &EtcInstance) -> Schedule {
+/// [`max_min`] via the retired full-rescan driver (see [`min_min_scan`]);
+/// the oracle of `indexed_drivers_bit_identical_to_scan_reference`.
+#[cfg(test)]
+fn max_min_scan(instance: &EtcInstance) -> Schedule {
     iterative_scan(instance, CommitRule::MaxMin)
 }
 
-/// [`sufferage`] via the retired full-rescan driver (see [`min_min_scan`]).
-pub fn sufferage_scan(instance: &EtcInstance) -> Schedule {
+/// [`sufferage`] via the retired full-rescan driver (see [`min_min_scan`]);
+/// the oracle of `indexed_drivers_bit_identical_to_scan_reference`.
+#[cfg(test)]
+fn sufferage_scan(instance: &EtcInstance) -> Schedule {
     iterative_scan(instance, CommitRule::Sufferage)
 }
 

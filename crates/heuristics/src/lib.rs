@@ -25,9 +25,7 @@ pub mod immediate;
 pub mod iterative;
 
 pub use immediate::{mct, met, olb};
-pub use iterative::{
-    duplex, max_min, max_min_scan, min_min, min_min_scan, sufferage, sufferage_scan,
-};
+pub use iterative::{duplex, max_min, min_min, min_min_scan, sufferage};
 
 use etc_model::EtcInstance;
 use scheduling::Schedule;

@@ -143,12 +143,6 @@ impl OffspringBatch {
         self.fitness[row]
     }
 
-    /// Whether row `row`'s caches are valid.
-    #[inline]
-    pub fn is_evaluated(&self, row: usize) -> bool {
-        self.evaluated[row]
-    }
-
     /// Index of row `row`'s most loaded machine (ties to the lowest
     /// index, matching [`Schedule::most_loaded_machine`]). Valid only
     /// when evaluated.
@@ -279,12 +273,12 @@ mod tests {
         let mut batch = OffspringBatch::new(&inst, 4);
         let r =
             batch.push_parent(parent.assignment(), parent.completion_times(), parent.makespan());
-        assert!(batch.is_evaluated(r));
+        assert!(batch.evaluated[r]);
         batch.evaluate(&inst);
         assert_eq!(batch.fitness(r).to_bits(), parent.makespan().to_bits());
         // Editing a gene invalidates the row; the next pass restores it.
         batch.genes_mut(r)[0] = 3;
-        assert!(!batch.is_evaluated(r));
+        assert!(!batch.evaluated[r]);
         batch.evaluate(&inst);
         let mut moved = parent.clone();
         moved.move_task(&inst, 0, 3);
@@ -332,8 +326,7 @@ mod tests {
             batch.push_stale();
         }
         batch.evaluate_rows(&inst, |r| r != 1);
-        assert!(batch.is_evaluated(0) && batch.is_evaluated(2));
-        assert!(!batch.is_evaluated(1));
+        assert_eq!(batch.evaluated, [true, false, true]);
     }
 
     #[test]

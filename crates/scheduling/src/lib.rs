@@ -23,5 +23,5 @@ pub mod schedule;
 
 pub use batch_eval::OffspringBatch;
 pub use invariant::{check_schedule, InvariantError};
-pub use metrics::{flowtime, load_imbalance, machine_loads, utilization};
+pub use metrics::{flowtime, load_imbalance, utilization};
 pub use schedule::Schedule;

@@ -9,11 +9,6 @@
 use crate::schedule::Schedule;
 use etc_model::EtcInstance;
 
-/// Per-machine loads (completion times), newly allocated.
-pub fn machine_loads(schedule: &Schedule) -> Vec<f64> {
-    schedule.completion_times().to_vec()
-}
-
 /// Flowtime: Σ over tasks of their finishing time, with each machine
 /// processing its tasks in SPT (shortest processing time first) order —
 /// the order that minimizes per-machine flowtime.
@@ -109,12 +104,5 @@ mod tests {
         // CT = [10, 0]: mean 5, max 10.
         assert_eq!(utilization(&s), 0.5);
         assert_eq!(load_imbalance(&s), 1.0);
-    }
-
-    #[test]
-    fn machine_loads_copies_ct() {
-        let inst = toy();
-        let s = Schedule::from_assignment(&inst, vec![0, 1, 0, 1]);
-        assert_eq!(machine_loads(&s), s.completion_times());
     }
 }

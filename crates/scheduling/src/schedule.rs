@@ -262,17 +262,6 @@ impl Schedule {
         best
     }
 
-    /// Index of the least loaded machine (ties break to the lowest index).
-    pub fn least_loaded_machine(&self) -> usize {
-        let mut best = 0;
-        for m in 1..self.completion.len() {
-            if self.completion[m] < self.completion[best] {
-                best = m;
-            }
-        }
-        best
-    }
-
     /// Machine indices sorted by ascending completion time (the sort in
     /// H2LL's Algorithm 4 line 2). Allocates; hot callers should reuse
     /// [`Schedule::sort_machines_into`].
@@ -612,7 +601,6 @@ mod tests {
         assert_eq!(s.completion(2), 12.0); // (3+1)*(2+1)
         assert_eq!(s.makespan(), 12.0);
         assert_eq!(s.most_loaded_machine(), 2);
-        assert_eq!(s.least_loaded_machine(), 0);
     }
 
     #[test]

@@ -106,11 +106,6 @@ impl Json {
         }
     }
 
-    /// [`Json::as_u64`] narrowed to `usize`.
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().and_then(|n| usize::try_from(n).ok())
-    }
-
     /// The boolean payload, if this is a boolean.
     pub fn as_bool(&self) -> Option<bool> {
         match self {

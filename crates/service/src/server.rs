@@ -602,49 +602,14 @@ fn answer_line(shared: &Arc<Shared>, line: &str, session: &mut Option<StreamSess
             Response::Ok { message: "draining".into() }
         }
         Ok(Request::Schedule(request)) => handle_schedule(shared, *request, line),
-        Ok(Request::JobStart(request)) => match &shared.jobs {
-            None => job_support_missing(shared),
-            Some(jobs) => match jobs.start(*request) {
-                Ok(body) => Response::Job(Box::new(body)),
-                Err(reason) if reason == "draining" => {
-                    Metrics::bump(&shared.metrics.busy);
-                    Response::Busy { reason }
-                }
-                Err(message) => job_error(shared, message),
-            },
-        },
-        Ok(Request::JobStatus { job }) => match &shared.jobs {
-            None => job_support_missing(shared),
-            Some(jobs) => match jobs.status(&job) {
-                Ok(body) => Response::Job(Box::new(body)),
-                Err(message) => job_error(shared, message),
-            },
-        },
-        Ok(Request::JobLog { job, tail }) => match &shared.jobs {
-            None => job_support_missing(shared),
-            Some(jobs) => match jobs.log(&job, tail) {
-                Ok(lines) => Response::JobLog { job, lines },
-                Err(message) => job_error(shared, message),
-            },
-        },
-        Ok(Request::JobStop { job }) => match &shared.jobs {
-            None => job_support_missing(shared),
-            Some(jobs) => match jobs.stop(&job) {
-                Ok(body) => Response::Job(Box::new(body)),
-                Err(message) => job_error(shared, message),
-            },
-        },
-        Ok(Request::JobArchive { job }) => match &shared.jobs {
-            None => job_support_missing(shared),
-            Some(jobs) => match jobs.archive(&job) {
-                Ok(body) => Response::Job(Box::new(body)),
-                Err(message) => job_error(shared, message),
-            },
-        },
-        Ok(Request::JobList) => match &shared.jobs {
-            None => job_support_missing(shared),
-            Some(jobs) => Response::JobList { jobs: jobs.list() },
-        },
+        Ok(
+            request @ (Request::JobStart(_)
+            | Request::JobStatus { .. }
+            | Request::JobLog { .. }
+            | Request::JobStop { .. }
+            | Request::JobArchive { .. }
+            | Request::JobList),
+        ) => answer_job(shared, request),
         Ok(Request::StreamOpen(request)) => handle_stream_open(shared, *request, session),
         Ok(Request::StreamEvent(request)) => match session.as_mut() {
             None => stream_error(shared, "no_session", "no open stream session", None),
@@ -830,9 +795,34 @@ fn stream_error(
     Response::StreamError { code: code.into(), message: message.into(), expected_seq }
 }
 
-/// `job.*` request against a daemon started without `--data-dir`.
-fn job_support_missing(shared: &Arc<Shared>) -> Response {
-    job_error(shared, "durable jobs are disabled; start the daemon with --data-dir".into())
+/// Answers a `job.*` request: an error unless the daemon was started
+/// with `--data-dir`, else the verb's answer from the job manager.
+fn answer_job(shared: &Arc<Shared>, request: Request) -> Response {
+    let Some(jobs) = &shared.jobs else {
+        return job_error(
+            shared,
+            "durable jobs are disabled; start the daemon with --data-dir".into(),
+        );
+    };
+    let job_body = |body| Response::Job(Box::new(body));
+    let answer = match request {
+        Request::JobStart(request) => match jobs.start(*request) {
+            Err(reason) if reason == "draining" => {
+                Metrics::bump(&shared.metrics.busy);
+                return Response::Busy { reason };
+            }
+            started => started.map(job_body),
+        },
+        Request::JobStatus { job } => jobs.status(&job).map(job_body),
+        Request::JobLog { job, tail } => {
+            jobs.log(&job, tail).map(|lines| Response::JobLog { job, lines })
+        }
+        Request::JobStop { job } => jobs.stop(&job).map(job_body),
+        Request::JobArchive { job } => jobs.archive(&job).map(job_body),
+        Request::JobList => Ok(Response::JobList { jobs: jobs.list() }),
+        _ => Err("not a job request".into()),
+    };
+    answer.unwrap_or_else(|message| job_error(shared, message))
 }
 
 fn job_error(shared: &Arc<Shared>, message: String) -> Response {

@@ -438,3 +438,27 @@ fn zero_cache_cap_keeps_no_lines() {
     handle.shutdown();
     handle.join();
 }
+
+#[test]
+fn job_verbs_without_a_data_dir_answer_an_error() {
+    let handle = spawn(ServeConfig::default());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let verbs = [
+        r#"{"type":"job.start","job":"j1","etc_model":{"tasks":4,"machines":2},"gens":1}"#,
+        r#"{"type":"job.status","job":"j1"}"#,
+        r#"{"type":"job.log","job":"j1","tail":5}"#,
+        r#"{"type":"job.stop","job":"j1"}"#,
+        r#"{"type":"job.archive","job":"j1"}"#,
+        r#"{"type":"job.list"}"#,
+    ];
+    for line in verbs {
+        let v = Json::parse(client.send_line(line).unwrap().trim()).unwrap();
+        assert_eq!(v.get("type").unwrap().as_str(), Some("error"), "{line} -> {v}");
+        let message = v.get("message").unwrap().as_str().unwrap();
+        assert!(message.contains("durable jobs are disabled"), "{line}: {message}");
+    }
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.get("errors").unwrap().as_u64(), Some(verbs.len() as u64), "{stats}");
+    handle.shutdown();
+    handle.join();
+}

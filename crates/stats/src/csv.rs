@@ -1,7 +1,6 @@
 //! Minimal CSV writing (RFC 4180 quoting) for persisting harness results
 //! next to the rendered tables — no external dependency needed.
 
-use crate::series::SeriesPoint;
 use std::io::{self, Write};
 
 /// Quotes a field when it contains commas, quotes or newlines.
@@ -26,15 +25,6 @@ pub fn write_table<W: Write>(w: &mut W, header: &[&str], rows: &[Vec<String>]) -
     for row in rows {
         assert_eq!(row.len(), header.len(), "CSV row width mismatch");
         write_row(w, row)?;
-    }
-    Ok(())
-}
-
-/// Writes an aggregated generation series (`generation,mean,count`).
-pub fn write_series<W: Write>(w: &mut W, series: &[SeriesPoint]) -> io::Result<()> {
-    write_row(w, &["generation".into(), "mean".into(), "count".into()])?;
-    for p in series {
-        write_row(w, &[p.generation.to_string(), p.mean.to_string(), p.count.to_string()])?;
     }
     Ok(())
 }
@@ -101,20 +91,6 @@ mod tests {
         assert!(text.contains("\"has,comma\""));
         let rows = parse(&text);
         assert_eq!(rows[0], tricky);
-    }
-
-    #[test]
-    fn series_format() {
-        let series = vec![
-            SeriesPoint { generation: 0, mean: 10.5, count: 8 },
-            SeriesPoint { generation: 1, mean: 9.0, count: 7 },
-        ];
-        let mut buf = Vec::new();
-        write_series(&mut buf, &series).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let rows = parse(&text);
-        assert_eq!(rows[0], vec!["generation", "mean", "count"]);
-        assert_eq!(rows[1], vec!["0", "10.5", "8"]);
     }
 
     #[test]

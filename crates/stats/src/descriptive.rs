@@ -45,11 +45,6 @@ impl Descriptive {
         Self { n, mean, std_dev, min, max }
     }
 
-    /// Standard error of the mean.
-    pub fn std_err(&self) -> f64 {
-        self.std_dev / (self.n as f64).sqrt()
-    }
-
     /// Coefficient of variation (`std/mean`), 0 if the mean is 0.
     pub fn cv(&self) -> f64 {
         if self.mean == 0.0 {
@@ -80,7 +75,6 @@ mod tests {
         let d = Descriptive::from_sample(&[3.5]);
         assert_eq!(d.mean, 3.5);
         assert_eq!(d.std_dev, 0.0);
-        assert_eq!(d.std_err(), 0.0);
     }
 
     #[test]
@@ -88,7 +82,6 @@ mod tests {
         let d = Descriptive::from_sample(&[1.0, 3.0]);
         assert_eq!(d.mean, 2.0);
         assert!((d.std_dev - std::f64::consts::SQRT_2).abs() < 1e-12);
-        assert!((d.std_err() - 1.0).abs() < 1e-12);
         assert!((d.cv() - std::f64::consts::SQRT_2 / 2.0).abs() < 1e-12);
     }
 

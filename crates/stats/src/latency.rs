@@ -46,12 +46,6 @@ impl LatencySummary {
             max_ms: d.max,
         }
     }
-
-    /// Summarizes a sample of [`std::time::Duration`]s.
-    pub fn from_durations(samples: &[std::time::Duration]) -> Self {
-        let ms: Vec<f64> = samples.iter().map(|d| d.as_secs_f64() * 1e3).collect();
-        Self::from_millis(&ms)
-    }
 }
 
 impl std::fmt::Display for LatencySummary {
@@ -67,7 +61,6 @@ impl std::fmt::Display for LatencySummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn uniform_ramp_percentiles() {
@@ -88,14 +81,6 @@ mod tests {
         assert_eq!(s.p50_ms, 7.5);
         assert_eq!(s.p99_ms, 7.5);
         assert_eq!(s.max_ms, 7.5);
-    }
-
-    #[test]
-    fn durations_convert_to_millis() {
-        let s =
-            LatencySummary::from_durations(&[Duration::from_millis(2), Duration::from_millis(4)]);
-        assert!((s.mean_ms - 3.0).abs() < 1e-9);
-        assert_eq!(s.max_ms, 4.0);
     }
 
     #[test]

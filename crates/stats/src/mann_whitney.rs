@@ -19,13 +19,6 @@ pub struct MannWhitneyResult {
     pub p_value: f64,
 }
 
-impl MannWhitneyResult {
-    /// Convenience: significant at level `alpha`?
-    pub fn significant(&self, alpha: f64) -> bool {
-        self.p_value < alpha
-    }
-}
-
 /// Error function, Abramowitz & Stegun 7.1.26 (|ε| ≤ 1.5e-7) — plenty for
 /// test decisions at conventional α levels.
 fn erf(x: f64) -> f64 {
@@ -115,7 +108,7 @@ mod tests {
         let a = [1.0, 2.0, 3.0, 4.0, 5.0];
         let r = mann_whitney_u(&a, &a);
         assert!(r.p_value > 0.9, "p = {}", r.p_value);
-        assert!(!r.significant(0.05));
+        assert!(r.p_value >= 0.05);
     }
 
     #[test]
@@ -124,7 +117,7 @@ mod tests {
         let b: Vec<f64> = (0..20).map(|i| 100.0 + i as f64).collect();
         let r = mann_whitney_u(&a, &b);
         assert_eq!(r.u, 0.0);
-        assert!(r.significant(0.001), "p = {}", r.p_value);
+        assert!(r.p_value < 0.001, "p = {}", r.p_value);
     }
 
     #[test]

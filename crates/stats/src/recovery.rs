@@ -94,14 +94,6 @@ impl RecoveryStats {
         self.samples.len() - self.warm_wins()
     }
 
-    /// Fraction of events the warm start won; 0 when empty.
-    pub fn win_rate(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.warm_wins() as f64 / self.samples.len() as f64
-    }
-
     /// Mean evaluations the warm path saved versus the cold budget.
     pub fn mean_evals_saved(&self) -> f64 {
         if self.samples.is_empty() {
@@ -147,7 +139,6 @@ mod tests {
     fn ledger_and_rates() {
         let mut stats = RecoveryStats::new();
         assert!(stats.is_empty());
-        assert_eq!(stats.win_rate(), 0.0);
         assert!(stats.latency().is_none());
         stats.record(sample(100, 1000, 9.0, 10.0, 2.0));
         stats.record(sample(1000, 1000, 12.0, 10.0, 8.0));
@@ -155,7 +146,6 @@ mod tests {
         assert_eq!(stats.len(), 3);
         assert_eq!(stats.warm_wins(), 2);
         assert_eq!(stats.warm_losses(), 1);
-        assert!((stats.win_rate() - 2.0 / 3.0).abs() < 1e-12);
         // Saved: 900 + 0 + 1000 over 3 events.
         assert!((stats.mean_evals_saved() - 1900.0 / 3.0).abs() < 1e-9);
         let lat = stats.latency().unwrap();

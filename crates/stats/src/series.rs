@@ -46,18 +46,6 @@ impl TraceAggregator {
         }
     }
 
-    /// Adds a sparse trace of explicit `(generation, value)` points.
-    pub fn add_points(&mut self, points: &[(usize, f64)]) {
-        for &(g, v) in points {
-            if g >= self.sums.len() {
-                self.sums.resize(g + 1, 0.0);
-                self.counts.resize(g + 1, 0);
-            }
-            self.sums[g] += v;
-            self.counts[g] += 1;
-        }
-    }
-
     /// Number of generations with at least one contribution.
     pub fn len(&self) -> usize {
         self.counts.iter().filter(|&&c| c > 0).count()
@@ -84,13 +72,6 @@ impl TraceAggregator {
     /// `min_count` runs — avoids the noisy tail where few long runs remain.
     pub fn series_with_support(&self, min_count: usize) -> Vec<SeriesPoint> {
         self.series().into_iter().filter(|p| p.count >= min_count).collect()
-    }
-
-    /// Downsamples the series to roughly `max_points` evenly spaced points
-    /// (keeps the last point), for compact harness output.
-    pub fn downsampled(&self, max_points: usize) -> Vec<SeriesPoint> {
-        let series = self.series();
-        downsample(&series, max_points)
     }
 }
 
@@ -140,16 +121,6 @@ mod tests {
         let s = agg.series_with_support(2);
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].generation, 0);
-    }
-
-    #[test]
-    fn sparse_points() {
-        let mut agg = TraceAggregator::new();
-        agg.add_points(&[(5, 1.0), (7, 3.0), (5, 3.0)]);
-        let s = agg.series();
-        assert_eq!(s.len(), 2);
-        assert_eq!(s[0], SeriesPoint { generation: 5, mean: 2.0, count: 2 });
-        assert_eq!(s[1].generation, 7);
     }
 
     #[test]

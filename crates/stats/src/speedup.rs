@@ -19,19 +19,6 @@ pub fn speedup_percentages(evals: &[f64]) -> Vec<f64> {
     evals.iter().map(|&e| 100.0 * e / base).collect()
 }
 
-/// Classic time-based speedup `time(1)/time(n)` for completeness (Eq. 4).
-pub fn time_speedup(times: &[f64]) -> Vec<f64> {
-    assert!(!times.is_empty(), "need at least the 1-processor baseline");
-    let base = times[0];
-    assert!(base.is_finite() && base > 0.0, "baseline time must be positive");
-    times.iter().map(|&t| base / t).collect()
-}
-
-/// Parallel efficiency `S(n)/n` from a speedup series (index i ↔ n = i+1).
-pub fn efficiency(speedups: &[f64]) -> Vec<f64> {
-    speedups.iter().enumerate().map(|(i, &s)| s / (i + 1) as f64).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -48,20 +35,6 @@ mod tests {
     fn degradation_below_100() {
         let s = speedup_percentages(&[50_000.0, 40_000.0]);
         assert_eq!(s[1], 80.0);
-    }
-
-    #[test]
-    fn time_speedup_classic() {
-        let s = time_speedup(&[90.0, 45.0, 30.0]);
-        assert_eq!(s, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn efficiency_from_speedup() {
-        let e = efficiency(&[1.0, 2.0, 2.4]);
-        assert_eq!(e[0], 1.0);
-        assert_eq!(e[1], 1.0);
-        assert!((e[2] - 0.8).abs() < 1e-12);
     }
 
     #[test]

@@ -20,17 +20,6 @@ impl Table {
         self
     }
 
-    /// Appends a row of string slices.
-    pub fn row_str(&mut self, cells: &[&str]) -> &mut Self {
-        let owned: Vec<String> = cells.iter().map(|s| s.to_string()).collect();
-        self.row(&owned)
-    }
-
-    /// Number of data rows.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table with a separator under the header; first column
     /// left-aligned, the rest right-aligned (the paper's table style).
     pub fn render(&self) -> String {
@@ -92,11 +81,15 @@ pub fn fmt_mean_std(mean: f64, std_dev: f64) -> String {
 mod tests {
     use super::*;
 
+    fn cells(cells: &[&str]) -> Vec<String> {
+        cells.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn renders_aligned() {
         let mut t = Table::new(&["instance", "makespan"]);
-        t.row_str(&["u_c_hihi.0", "7518600.7"]);
-        t.row_str(&["u_c_lolo.0", "5261.4"]);
+        t.row(&cells(&["u_c_hihi.0", "7518600.7"]));
+        t.row(&cells(&["u_c_lolo.0", "5261.4"]));
         let out = t.render();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 4);
@@ -122,14 +115,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "row width mismatch")]
     fn mismatched_row_panics() {
-        Table::new(&["a", "b"]).row_str(&["only one"]);
-    }
-
-    #[test]
-    fn n_rows_counts() {
-        let mut t = Table::new(&["x"]);
-        assert_eq!(t.n_rows(), 0);
-        t.row_str(&["1"]);
-        assert_eq!(t.n_rows(), 1);
+        Table::new(&["a", "b"]).row(&cells(&["only one"]));
     }
 }

@@ -17,9 +17,10 @@
 #   1 build  cargo build --release (every crate, every target — the
 #            experiment binaries must at least compile)
 #   1b audit pacga-audit, the in-tree invariant analyzer (DESIGN.md §11):
-#            rules A1-A6 over crates/, src/ and tests/, hard fail on any
-#            violation; the stage first self-tests by seeding A2 and A6
-#            violations into a temp tree and requiring a non-zero exit
+#            rules A1-A7 over crates/, src/ and tests/ (A7 also counts
+#            uses in examples/ and perfbench/src), hard fail on any
+#            violation; the stage first self-tests by seeding A2, A6 and
+#            A7 violations into a temp tree and requiring a non-zero exit
 #   1c clippy cargo clippy --workspace --all-targets -- -D warnings
 #            (soft-skip with a visible WARN when clippy is unavailable)
 #   2 test   cargo test -q (unit + property + integration + doc tests)
@@ -101,8 +102,9 @@ done
 audit_self_test() {
   local tmp out want
   tmp="$(mktemp -d)"
-  mkdir -p "$tmp/crates/service/src" "$tmp/crates/bench/tests" "$tmp/tests"
+  mkdir -p "$tmp/crates/service/src" "$tmp/crates/core/src" "$tmp/crates/bench/tests" "$tmp/tests"
   printf 'pub fn f(v: &[u8]) -> u8 { v[0] }\n' >"$tmp/crates/service/src/seeded.rs"
+  printf 'pub fn seeded_dead() {}\n' >"$tmp/crates/core/src/seeded.rs"
   printf '#[test]\nfn t() {\n    std::env::set_var("K", "v");\n}\n' \
     >"$tmp/crates/bench/tests/seeded.rs"
   cp "$tmp/crates/bench/tests/seeded.rs" "$tmp/tests/seeded.rs"
@@ -113,7 +115,7 @@ audit_self_test() {
     return 1
   fi
   for want in "crates/service/src/seeded.rs:1 A2" "crates/bench/tests/seeded.rs:3 A6" \
-    "tests/seeded.rs:3 A6"; do
+    "tests/seeded.rs:3 A6" "crates/core/src/seeded.rs:1 A7"; do
     grep -q "$want" <<<"$out" || {
       echo "audit self-test: expected \"$want\" in the report:" >&2
       echo "$out" >&2
@@ -122,7 +124,7 @@ audit_self_test() {
     }
   done
   rm -rf "$tmp"
-  echo "audit self-test: seeded A2 and A6 violations detected, exit non-zero, report well-formed"
+  echo "audit self-test: seeded A2, A6 and A7 violations detected, exit non-zero, report well-formed"
 }
 
 # Stage 4 runs every perfbench workload at this seed for this many
@@ -296,7 +298,7 @@ begin "1:build" "cargo build --release (all targets)"
 cargo build --release --workspace --all-targets
 finish
 
-begin "1b:audit" "pacga-audit invariant analyzer (rules A1-A6)"
+begin "1b:audit" "pacga-audit invariant analyzer (rules A1-A7)"
 audit_self_test
 target/release/pacga-audit --root .
 finish
