@@ -179,25 +179,47 @@ pub fn save_population_meta<W: Write + ?Sized>(
     assert!(!population.is_empty(), "empty population");
     let n_tasks = population[0].schedule.n_tasks();
     // Body first, so the CRC covers exactly the bytes that precede it.
-    let mut body = format!("{HEADER} {} {n_tasks}\n", population.len());
-    body.push_str(&format!("meta {} {} {}\n", meta.generations, meta.evaluations, meta.elapsed_ms));
+    let mut body = format!(
+        "{HEADER} {} {n_tasks}\nmeta {} {} {}\n",
+        population.len(),
+        meta.generations,
+        meta.evaluations,
+        meta.elapsed_ms
+    )
+    .into_bytes();
+    // At least one digit and a separator per gene.
+    body.reserve(population.len() * n_tasks * 2);
     for ind in population {
         debug_assert_eq!(ind.schedule.n_tasks(), n_tasks);
-        let mut first = true;
-        for m in ind.schedule.assignment() {
-            if !first {
-                body.push(' ');
+        for (i, &m) in ind.schedule.assignment().iter().enumerate() {
+            if i > 0 {
+                body.push(b' ');
             }
-            first = false;
-            body.push_str(&m.to_string());
+            push_decimal(&mut body, m);
         }
-        body.push('\n');
+        body.push(b'\n');
     }
     let mut crc = Crc32::new();
-    crc.update(body.as_bytes());
-    w.write_all(body.as_bytes())?;
+    crc.update(&body);
+    w.write_all(&body)?;
     writeln!(w, "crc {:08x}", crc.finish())?;
     Ok(())
+}
+
+/// Appends the decimal digits of `v`, as `v.to_string()` spells them,
+/// without allocating.
+fn push_decimal(out: &mut Vec<u8>, mut v: u32) {
+    let mut digits = [0u8; 10];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[start..]);
 }
 
 /// Reads a population checkpoint back, discarding the meta line.
@@ -382,6 +404,17 @@ mod tests {
                 (x >> 32) as u8
             })
             .collect()
+    }
+
+    #[test]
+    fn push_decimal_spells_like_to_string() {
+        let mut values = vec![0, 1, 9, 10, 11, 99, 100, 101, 65_535, 1_000_000_000, u32::MAX];
+        values.extend((0..32).map(|k| 1u32 << k));
+        for v in values {
+            let mut out = b"x".to_vec();
+            push_decimal(&mut out, v);
+            assert_eq!(out, format!("x{v}").into_bytes(), "{v}");
+        }
     }
 
     #[test]

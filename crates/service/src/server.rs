@@ -50,6 +50,7 @@ use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -394,39 +395,50 @@ impl ServerHandle {
 /// on stderr and drop the persistence, never the drain.
 fn persist_corpus(shared: &Shared) -> u64 {
     let Some(path) = &shared.corpus else { return 0 };
-    let mut builder = if path.exists() {
-        match StoreReader::open_path(path).and_then(|mut r| r.to_builder()) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!(
-                    "pacga serve: corpus {} unreadable at drain ({e}); not persisting",
-                    path.display()
-                );
-                return 0;
-            }
-        }
-    } else {
-        StoreBuilder::new()
-    };
-    let mut entries: Vec<(u64, CachedRun)> = {
-        let cache = shared.cache.lock();
-        cache.entries().map(|(d, run)| (d, run.clone())).collect()
-    };
-    entries.sort_by_key(|(d, _)| *d);
+    load_corpus(path).and_then(|builder| write_corpus(shared, builder, path)).unwrap_or_else(
+        |line| {
+            eprintln!("{line}");
+            0
+        },
+    )
+}
+
+/// The corpus at `path` as a builder that holds no record body (a
+/// missing file is an empty corpus), or the line that says why the
+/// drain does not persist.
+fn load_corpus(path: &Path) -> Result<StoreBuilder, String> {
+    if !path.exists() {
+        return Ok(StoreBuilder::new());
+    }
+    StoreReader::open_path(path).and_then(|mut r| r.to_builder()).map_err(|e| {
+        format!("pacga serve: corpus {} unreadable at drain ({e}); not persisting", path.display())
+    })
+}
+
+/// Upserts every live cache entry into `builder` in digest order and
+/// writes the corpus to `path`. Each entry is encoded straight from the
+/// cache under its lock, with no copy of the runs: by drain time nothing
+/// else touches the cache. Returns the entries written, or the line that
+/// says why the drain does not persist; the file is then left as it was.
+fn write_corpus(shared: &Shared, mut builder: StoreBuilder, path: &Path) -> Result<u64, String> {
     let mut persisted = 0u64;
-    for (digest, run) in &entries {
-        match builder.add_best(*digest, run) {
-            Ok(()) => persisted += 1,
-            Err(e) => {
-                eprintln!("pacga serve: cache entry {digest:#018x} not persistable ({e}); skipped")
+    {
+        let cache = shared.cache.lock();
+        let mut entries: Vec<(u64, &CachedRun)> = cache.entries().collect();
+        entries.sort_unstable_by_key(|(d, _)| *d);
+        for (digest, run) in entries {
+            match builder.add_best(digest, run) {
+                Ok(()) => persisted += 1,
+                Err(e) => eprintln!(
+                    "pacga serve: cache entry {digest:#018x} not persistable ({e}); skipped"
+                ),
             }
         }
     }
-    if let Err(e) = builder.write(path) {
-        eprintln!("pacga serve: corpus write to {} failed ({e})", path.display());
-        return 0;
-    }
-    persisted
+    builder.write(path).map_err(|e| {
+        format!("pacga serve: corpus write to {} failed ({e}); not persisting", path.display())
+    })?;
+    Ok(persisted)
 }
 
 /// Binds the listener and spawns the daemon threads.
@@ -1145,6 +1157,67 @@ mod tests {
         for kind in [SECTION_INSTANCES, SECTION_CHECKPOINTS] {
             assert!(section(&before, kind) == section(&after, kind), "section {kind} changed");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn drain_that_finds_a_changed_record_does_not_persist() {
+        use crate::store::SECTION_INSTANCES;
+        use std::io::{Seek, SeekFrom};
+
+        let dir = std::env::temp_dir().join(format!("pacga-changed-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let corpus = dir.join("c.pacst");
+        let mut input = StoreBuilder::new();
+        input.add_instance(&EtcInstance::toy(6, 3)).unwrap();
+        input.write(&corpus).unwrap();
+        let handle = local(ServeConfig {
+            corpus: Some(corpus.to_string_lossy().into_owned()),
+            ..ServeConfig::default()
+        });
+        let (_, instance, digest) = toy_miss();
+        let run = CachedRun {
+            instance: instance.name().to_string(),
+            n_tasks: 2,
+            n_machines: 2,
+            makespan: 2.0,
+            evaluations: 50,
+            engine_ms: 0.5,
+            assignment: vec![0, 1],
+        };
+        handle.shared.cache.lock().insert(digest, run);
+
+        // The drain's two passes with the stored instance body changed
+        // between them: the write finds it and the old file stays.
+        let builder = load_corpus(&corpus).unwrap();
+        let instances = StoreReader::open_path(&corpus)
+            .unwrap()
+            .sections()
+            .iter()
+            .find(|s| s.kind == SECTION_INSTANCES)
+            .map(|s| s.offset)
+            .unwrap();
+        let body_byte = instances + 8 + 8 + 20;
+        let mut file = std::fs::OpenOptions::new().read(true).write(true).open(&corpus).unwrap();
+        let mut byte = [0u8; 1];
+        file.seek(SeekFrom::Start(body_byte)).unwrap();
+        std::io::Read::read_exact(&mut file, &mut byte).unwrap();
+        file.seek(SeekFrom::Start(body_byte)).unwrap();
+        file.write_all(&[byte[0] ^ 0x10]).unwrap();
+        drop(file);
+        let changed = std::fs::read(&corpus).unwrap();
+        let line = write_corpus(&handle.shared, builder, &corpus).unwrap_err();
+        assert!(line.contains("CRC mismatch in instance record"), "{line}");
+        assert!(line.ends_with("; not persisting"), "{line}");
+        assert!(std::fs::read(&corpus).unwrap() == changed, "a failed write kept the old file");
+
+        // The daemon's own drain now meets the damage on its read pass:
+        // nothing persists, and the daemon still exits cleanly.
+        handle.shutdown();
+        let summary = handle.join();
+        assert_eq!(summary.persisted, 0);
+        assert!(summary.to_string().contains("drained cleanly"), "{summary}");
+        assert!(std::fs::read(&corpus).unwrap() == changed, "the drain kept the old file");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

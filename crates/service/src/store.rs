@@ -20,10 +20,12 @@
 //! read, no text parse. A full scan (`bests`, `verify`, ...) is one seek
 //! per section followed by sequential reads.
 //!
-//! Writing: [`StoreBuilder`] holds each record as its encoded body.
-//! `add_*` encodes a new record; [`StoreReader::to_builder`] (the
-//! daemon's drain) validates each stored record and keeps its body
-//! bytes as they are, so a merge re-encodes nothing it read. One layout
+//! Writing: `add_*` encodes a new record into the [`StoreBuilder`].
+//! [`StoreReader::to_builder`] (the daemon's drain) validates each
+//! stored record and keeps only where its frame lies in the file; the
+//! write copies each such body from that file through a fixed-size
+//! buffer and checks its CRC again on the way. So a merge re-encodes
+//! nothing it read and holds no stored body in memory. One layout
 //! routine streams the image: [`StoreBuilder::write`] sends it straight
 //! into the atomic write, and [`StoreBuilder::encode`] into a `Vec`.
 //!
@@ -39,10 +41,12 @@ use crate::protocol::Fnv1a;
 use etc_model::binary::{check_instance, decode_instance, encode_instance};
 use etc_model::EtcInstance;
 use pa_cga_core::checkpoint::Crc32;
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::Hash;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 /// File magic: `\x89` (catches 7-bit transports) + `PACST` + `\r\n`
 /// (catches newline translation), PNG-style.
@@ -280,18 +284,38 @@ fn decode_checkpoint(body: &[u8]) -> Result<(&str, &[u8]), StoreError> {
 // Writer.
 // ---------------------------------------------------------------------
 
+/// A builder's record body.
+enum Body {
+    /// Encoded by an `add_*` call.
+    Owned(Vec<u8>),
+    /// Kept by [`StoreReader::to_builder`]: the frame at `offset` in the
+    /// builder's source, with the length and CRC its validating read
+    /// found there. The body is copied from the source, and its CRC
+    /// computed again, when the image is written.
+    Stored { offset: u64, len: u32, crc: u32 },
+}
+
+impl Body {
+    fn len(&self) -> u64 {
+        match self {
+            Body::Owned(bytes) => bytes.len() as u64,
+            Body::Stored { len, .. } => u64::from(*len),
+        }
+    }
+}
+
 /// One section's record bodies in first-seen key order, with a key →
 /// position map so replacing a record is one lookup, not a scan.
 #[derive(Default)]
 struct Records<K> {
-    list: Vec<(K, Vec<u8>)>,
+    list: Vec<(K, Body)>,
     slots: HashMap<K, usize>,
 }
 
 impl<K> Records<K> {
     /// Section payload bytes: the count, then one frame per record.
     fn payload_len(&self) -> u64 {
-        8 + self.list.iter().map(|(_, body)| 8 + body.len() as u64).sum::<u64>()
+        8 + self.list.iter().map(|(_, body)| 8 + body.len()).sum::<u64>()
     }
 
     /// (index key, absolute frame offset) of every record, for a section
@@ -301,19 +325,29 @@ impl<K> Records<K> {
         let mut entries = Vec::with_capacity(self.list.len());
         for (k, body) in &self.list {
             entries.push((key(k), at));
-            at += 8 + body.len() as u64;
+            at += 8 + body.len();
         }
         entries
     }
 
     /// Writes the section payload: the count, then each body framed by
-    /// its length and CRC-32.
-    fn write_payload(&self, out: &mut dyn Write) -> std::io::Result<()> {
+    /// its length and CRC-32. Stored bodies come through `copier`.
+    fn write_payload(
+        &self,
+        out: &mut dyn Write,
+        copier: &mut Copier<'_>,
+        what: &'static str,
+    ) -> Result<(), StoreError> {
         out.write_all(&(self.list.len() as u64).to_le_bytes())?;
         for (_, body) in &self.list {
-            out.write_all(&(body.len() as u32).to_le_bytes())?;
-            out.write_all(&Crc32::of(body).to_le_bytes())?;
-            out.write_all(body)?;
+            match body {
+                Body::Owned(bytes) => {
+                    out.write_all(&(bytes.len() as u32).to_le_bytes())?;
+                    out.write_all(&Crc32::of(bytes).to_le_bytes())?;
+                    out.write_all(bytes)?;
+                }
+                &Body::Stored { offset, len, crc } => copier.copy(offset, len, crc, out, what)?,
+            }
         }
         Ok(())
     }
@@ -321,7 +355,7 @@ impl<K> Records<K> {
 
 /// Adds `body` under `key`, or replaces the body of the record already
 /// under `key` in its first-seen position.
-fn upsert<K: Clone + Eq + Hash>(records: &mut Records<K>, key: K, body: Vec<u8>) {
+fn upsert<K: Clone + Eq + Hash>(records: &mut Records<K>, key: K, body: Body) {
     match records.slots.entry(key) {
         Entry::Occupied(slot) => {
             if let Some(record) = records.list.get_mut(*slot.get()) {
@@ -335,18 +369,89 @@ fn upsert<K: Clone + Eq + Hash>(records: &mut Records<K>, key: K, body: Vec<u8>)
     }
 }
 
+/// What a builder copies its stored records from: the handle of the
+/// reader that made it, shared with that reader.
+trait Source: Read + Seek + Send {}
+
+impl<T: Read + Seek + Send> Source for T {}
+
+/// Bytes moved per read when a stored body is copied into an image.
+const COPY_CHUNK: usize = 64 * 1024;
+
+/// Copies stored frames from the source into an image through one
+/// fixed-size buffer, checking each against what the validating read
+/// kept.
+struct Copier<'a> {
+    source: Option<MutexGuard<'a, dyn Source + 'static>>,
+    /// The source's read position when it is known: frames kept in file
+    /// order are read back to back, with no seek between them.
+    at: Option<u64>,
+    chunk: Vec<u8>,
+}
+
+impl Copier<'_> {
+    fn copy(
+        &mut self,
+        offset: u64,
+        len: u32,
+        crc: u32,
+        out: &mut dyn Write,
+        what: &'static str,
+    ) -> Result<(), StoreError> {
+        let source = self
+            .source
+            .as_deref_mut()
+            .ok_or_else(|| StoreError::Corrupt(format!("{what} at {offset} has no source")))?;
+        if self.at != Some(offset) {
+            source.seek(SeekFrom::Start(offset))?;
+        }
+        self.at = None;
+        let mut frame = [0u8; 8];
+        read_exact_into(source, &mut frame, what)?;
+        if u32_at(&frame, 0, what)? != len || u32_at(&frame, 4, what)? != crc {
+            return Err(StoreError::Corrupt(format!(
+                "{what} at {offset} changed since it was read"
+            )));
+        }
+        out.write_all(&frame)?;
+        if self.chunk.is_empty() {
+            self.chunk.resize(COPY_CHUNK, 0);
+        }
+        let mut computed = Crc32::new();
+        let mut left = len as usize;
+        while left > 0 {
+            let part =
+                self.chunk.get_mut(..left.min(COPY_CHUNK)).ok_or(StoreError::Truncated(what))?;
+            read_exact_into(source, part, what)?;
+            computed.update(part);
+            out.write_all(part)?;
+            left -= part.len();
+        }
+        let computed = computed.finish();
+        if computed != crc {
+            return Err(StoreError::Crc { what: what.into(), stored: crc, computed });
+        }
+        self.at = Some(offset + 8 + u64::from(len));
+        Ok(())
+    }
+}
+
 /// Accumulates records and serializes them into one `.pacst` file.
 ///
 /// Adding a record whose key (instance name / digest / checkpoint name)
 /// is already present **replaces** the earlier record in its position,
 /// so merging an existing corpus with fresh results is
-/// load-into-builder + add + write. The builder holds each record as its
-/// encoded body; only `add_*` encodes.
+/// load-into-builder + add + write. Records added through `add_*` are
+/// held as encoded bodies; records kept by [`StoreReader::to_builder`]
+/// are held as frame positions in the file it read, and their bodies are
+/// copied from there when the image is written.
 #[derive(Default)]
 pub struct StoreBuilder {
     instances: Records<String>,
     bests: Records<u64>,
     checkpoints: Records<String>,
+    /// The handle stored records are copied from; set by `to_builder`.
+    source: Option<Arc<Mutex<dyn Source>>>,
 }
 
 impl StoreBuilder {
@@ -359,14 +464,14 @@ impl StoreBuilder {
     pub fn add_instance(&mut self, instance: &EtcInstance) -> Result<(), StoreError> {
         let body = encode_instance(instance)
             .map_err(|e| StoreError::Corrupt(format!("unencodable instance: {e}")))?;
-        upsert(&mut self.instances, instance.name().to_string(), body);
+        upsert(&mut self.instances, instance.name().to_string(), Body::Owned(body));
         Ok(())
     }
 
     /// Adds (or replaces, by digest) a best-schedule record.
     pub fn add_best(&mut self, digest: u64, run: &CachedRun) -> Result<(), StoreError> {
         let body = encode_best(digest, run)?;
-        upsert(&mut self.bests, digest, body);
+        upsert(&mut self.bests, digest, Body::Owned(body));
         Ok(())
     }
 
@@ -376,7 +481,7 @@ impl StoreBuilder {
     /// trailing CRC on top of the store's record CRC.
     pub fn add_checkpoint(&mut self, name: &str, payload: &[u8]) -> Result<(), StoreError> {
         let body = encode_checkpoint(name, payload)?;
-        upsert(&mut self.checkpoints, name.to_string(), body);
+        upsert(&mut self.checkpoints, name.to_string(), Body::Owned(body));
         Ok(())
     }
 
@@ -395,10 +500,12 @@ impl StoreBuilder {
         self.checkpoints.list.len()
     }
 
-    /// Serializes the full `.pacst` file image.
+    /// Serializes the full `.pacst` file image. If a stored record cannot
+    /// be copied from the file [`StoreReader::to_builder`] read (it
+    /// changed or became unreadable since), the image stops short there
+    /// and no reader opens it; [`write`](Self::write) reports that error.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        // Writing into a `Vec` cannot fail.
         let _ = self.write_image(&mut out);
         out
     }
@@ -406,10 +513,24 @@ impl StoreBuilder {
     /// Writes the store to `path` through the fsx atomic-write protocol
     /// (tmp + fsync + rename): a crash leaves the old corpus or the new
     /// one, never a torn hybrid. The image is streamed into the temp
-    /// file as it is laid out; no copy of it is held in memory.
+    /// file as it is laid out; no copy of it is held in memory. A stored
+    /// record whose bytes no longer match what `to_builder` read fails
+    /// the write (a [`StoreError::Crc`] for a changed body), and the file
+    /// at `path` is left as it was.
     pub fn write(&self, path: &Path) -> Result<(), StoreError> {
-        pa_cga_core::fsx::atomic_write_with(path, |out| self.write_image(out))?;
-        Ok(())
+        let mut failed = None;
+        let written = pa_cga_core::fsx::atomic_write_with(path, |out| {
+            self.write_image(out).map_err(|e| {
+                let io = std::io::Error::other(e.to_string());
+                failed = Some(e);
+                io
+            })
+        });
+        match (written, failed) {
+            (Ok(()), _) => Ok(()),
+            (Err(_), Some(e)) => Err(e),
+            (Err(e), None) => Err(e.into()),
+        }
     }
 
     /// The one layout routine behind [`encode`](Self::encode) and
@@ -417,7 +538,7 @@ impl StoreBuilder {
     /// sections, the two indexes, the section table and the trailer, in
     /// file order. Every offset follows from the body lengths, so the
     /// small parts are built first and each body is written once.
-    fn write_image(&self, out: &mut dyn Write) -> std::io::Result<()> {
+    fn write_image(&self, out: &mut dyn Write) -> Result<(), StoreError> {
         let instances_at = HEADER_LEN as u64;
         let bests_at = instances_at + self.instances.payload_len();
         let instance_index =
@@ -451,16 +572,22 @@ impl StoreBuilder {
         header.extend_from_slice(&table_offset.to_le_bytes());
         header.extend_from_slice(&file_len.to_le_bytes());
 
+        let mut copier = Copier {
+            source: self.source.as_ref().map(|source| source.lock()),
+            at: None,
+            chunk: Vec::new(),
+        };
         out.write_all(&header)?;
-        self.instances.write_payload(out)?;
-        self.bests.write_payload(out)?;
-        self.checkpoints.write_payload(out)?;
+        self.instances.write_payload(out, &mut copier, "instance record")?;
+        self.bests.write_payload(out, &mut copier, "best record")?;
+        self.checkpoints.write_payload(out, &mut copier, "checkpoint record")?;
         out.write_all(&instance_index)?;
         out.write_all(&best_index)?;
         out.write_all(&table)?;
         out.write_all(&Crc32::of(&header).to_le_bytes())?;
         out.write_all(&Crc32::of(&table).to_le_bytes())?;
-        out.write_all(&END_MAGIC)
+        out.write_all(&END_MAGIC)?;
+        Ok(())
     }
 }
 
@@ -592,7 +719,9 @@ pub struct VerifyReport {
 /// [`get_instance`]: StoreReader::get_instance
 /// [`get_best`]: StoreReader::get_best
 pub struct StoreReader<R> {
-    handle: R,
+    /// Shared with every builder [`to_builder`](StoreReader::to_builder)
+    /// returns: the builder copies its stored records from it.
+    handle: Arc<Mutex<R>>,
     file_len: u64,
     sections: Vec<Section>,
     instance_index: HashIndex,
@@ -685,47 +814,39 @@ impl<R: Read + Seek> StoreReader<R> {
             sections.push(Section { kind, offset, len });
         }
 
-        let mut reader = StoreReader {
-            handle,
+        let find = |kind: u32| sections.iter().copied().find(|s| s.kind == kind);
+        let mut count = |kind: u32, what: &'static str| match find(kind) {
+            Some(s) => u64_at(&read_exact_at(&mut handle, s.offset, 8, what)?, 0, what),
+            None => Ok(0),
+        };
+        let instance_count = count(SECTION_INSTANCES, "instance count")?;
+        let best_count = count(SECTION_BESTS, "best count")?;
+        let checkpoint_count = count(SECTION_CHECKPOINTS, "checkpoint count")?;
+        let mut index = |kind: u32, what: &'static str| match find(kind) {
+            Some(s) => {
+                let len = usize::try_from(s.len)
+                    .map_err(|_| StoreError::Corrupt("section too large for this host".into()))?;
+                let payload = read_exact_at(&mut handle, s.offset, len, "section payload")?;
+                HashIndex::decode(&payload, what)
+            }
+            None => Ok(HashIndex::empty()),
+        };
+        let instance_index = index(SECTION_INSTANCE_INDEX, "instance index")?;
+        let best_index = index(SECTION_BEST_INDEX, "best index")?;
+        Ok(StoreReader {
+            handle: Arc::new(Mutex::new(handle)),
             file_len,
             sections,
-            instance_index: HashIndex::empty(),
-            best_index: HashIndex::empty(),
-            instance_count: 0,
-            best_count: 0,
-            checkpoint_count: 0,
-        };
-        if let Some(s) = reader.section(SECTION_INSTANCES) {
-            let head = read_exact_at(&mut reader.handle, s.offset, 8, "instance count")?;
-            reader.instance_count = u64_at(&head, 0, "instance count")?;
-        }
-        if let Some(s) = reader.section(SECTION_BESTS) {
-            let head = read_exact_at(&mut reader.handle, s.offset, 8, "best count")?;
-            reader.best_count = u64_at(&head, 0, "best count")?;
-        }
-        if let Some(s) = reader.section(SECTION_CHECKPOINTS) {
-            let head = read_exact_at(&mut reader.handle, s.offset, 8, "checkpoint count")?;
-            reader.checkpoint_count = u64_at(&head, 0, "checkpoint count")?;
-        }
-        if let Some(s) = reader.section(SECTION_INSTANCE_INDEX) {
-            let payload = reader.read_section(s)?;
-            reader.instance_index = HashIndex::decode(&payload, "instance index")?;
-        }
-        if let Some(s) = reader.section(SECTION_BEST_INDEX) {
-            let payload = reader.read_section(s)?;
-            reader.best_index = HashIndex::decode(&payload, "best index")?;
-        }
-        Ok(reader)
+            instance_index,
+            best_index,
+            instance_count,
+            best_count,
+            checkpoint_count,
+        })
     }
 
     fn section(&self, kind: u32) -> Option<Section> {
         self.sections.iter().copied().find(|s| s.kind == kind)
-    }
-
-    fn read_section(&mut self, s: Section) -> Result<Vec<u8>, StoreError> {
-        let len = usize::try_from(s.len)
-            .map_err(|_| StoreError::Corrupt("section too large for this host".into()))?;
-        read_exact_at(&mut self.handle, s.offset, len, "section payload")
     }
 
     /// Every section-table entry, including unknown kinds.
@@ -753,94 +874,71 @@ impl<R: Read + Seek> StoreReader<R> {
         self.checkpoint_count
     }
 
-    /// Reads one CRC-framed record at an absolute file offset.
-    fn read_record(&mut self, offset: u64, what: &'static str) -> Result<Vec<u8>, StoreError> {
-        self.handle.seek(SeekFrom::Start(offset))?;
-        let mut body = Vec::new();
-        self.read_frame(offset, &mut body, what)?;
-        Ok(body)
-    }
-
-    /// Reads the record frame the handle is positioned at (`offset` in
-    /// the file) and its body into `body`, checking the body's CRC. The
-    /// frame's length is checked against the file before `body` is
-    /// sized, so a corrupt length never drives an allocation.
-    fn read_frame(
+    /// The first of `offsets` (index candidates, in probe order) whose
+    /// record `pick` accepts. Each candidate is one seek and one
+    /// CRC-checked read; FNV collisions are why `pick` checks the key.
+    fn find<T>(
         &mut self,
-        offset: u64,
-        body: &mut Vec<u8>,
+        offsets: Vec<u64>,
         what: &'static str,
-    ) -> Result<(), StoreError> {
-        let mut frame = [0u8; 8];
-        read_exact_into(&mut self.handle, &mut frame, what)?;
-        let len = u32_at(&frame, 0, what)? as u64;
-        let stored = u32_at(&frame, 4, what)?;
-        let end = offset.checked_add(8).and_then(|o| o.checked_add(len));
-        match end {
-            Some(end) if end <= self.file_len => {}
-            _ => return Err(StoreError::Corrupt(format!("record at {offset} overruns the file"))),
+        mut pick: impl FnMut(&[u8]) -> Result<Option<T>, StoreError>,
+    ) -> Result<Option<T>, StoreError> {
+        let mut handle = self.handle.lock();
+        let mut body = Vec::new();
+        for offset in offsets {
+            handle.seek(SeekFrom::Start(offset))?;
+            read_frame(&mut *handle, self.file_len, offset, &mut body, what)?;
+            if let Some(found) = pick(&body)? {
+                return Ok(Some(found));
+            }
         }
-        body.resize(len as usize, 0);
-        read_exact_into(&mut self.handle, body, what)?;
-        let computed = Crc32::of(body);
-        if stored != computed {
-            return Err(StoreError::Crc { what: what.into(), stored, computed });
-        }
-        Ok(())
+        Ok(None)
     }
 
     /// O(1) instance lookup by name: index probe → one seek → one
     /// framed read → binary decode. `Ok(None)` when absent.
     pub fn get_instance(&mut self, name: &str) -> Result<Option<EtcInstance>, StoreError> {
         let offsets = self.instance_index.candidates(name_key(name));
-        for offset in offsets {
-            let body = self.read_record(offset, "instance record")?;
-            let instance = decode_instance(&body)
-                .map_err(|e| StoreError::Corrupt(format!("instance record: {e}")))?;
-            if instance.name() == name {
-                return Ok(Some(instance));
-            }
-        }
-        Ok(None)
+        self.find(offsets, "instance record", |body| {
+            let instance = decode_instance(body).map_err(instance_error)?;
+            Ok((instance.name() == name).then_some(instance))
+        })
     }
 
     /// O(1) best-schedule lookup by request digest. `Ok(None)` when
     /// absent.
     pub fn get_best(&mut self, digest: u64) -> Result<Option<CachedRun>, StoreError> {
         let offsets = self.best_index.candidates(digest);
-        for offset in offsets {
-            let body = self.read_record(offset, "best record")?;
-            let (stored_digest, run) = decode_best(&body)?;
-            if stored_digest == digest {
-                return Ok(Some(run));
-            }
-        }
-        Ok(None)
+        self.find(offsets, "best record", |body| {
+            let (stored_digest, run) = decode_best(body)?;
+            Ok((stored_digest == digest).then_some(run))
+        })
     }
 
     /// Visits the `count` records of section `kind` in file order: one
     /// seek to the first frame, then sequential reads into one reused
-    /// body buffer, every record CRC-checked. `f` may take the buffer to
-    /// keep a body; the next record is then read into a fresh one.
+    /// body buffer, every record CRC-checked. `f` gets each body and the
+    /// [`Body::Stored`] that names its frame.
     fn walk_records(
         &mut self,
         kind: u32,
         count: u64,
         what: &'static str,
-        mut f: impl FnMut(&mut Vec<u8>) -> Result<(), StoreError>,
+        mut f: impl FnMut(&[u8], Body) -> Result<(), StoreError>,
     ) -> Result<(), StoreError> {
         let Some(s) = self.section(kind) else { return Ok(()) };
         let mut offset = s.offset + 8;
         let end = s.offset + s.len;
-        self.handle.seek(SeekFrom::Start(offset))?;
+        let mut handle = self.handle.lock();
+        handle.seek(SeekFrom::Start(offset))?;
         let mut body = Vec::new();
         for _ in 0..count {
             if offset >= end {
                 return Err(StoreError::Truncated(what));
             }
-            self.read_frame(offset, &mut body, what)?;
-            offset += 8 + body.len() as u64;
-            f(&mut body)?;
+            let (len, crc) = read_frame(&mut *handle, self.file_len, offset, &mut body, what)?;
+            f(&body, Body::Stored { offset, len, crc })?;
+            offset += 8 + u64::from(len);
         }
         if offset != end {
             return Err(StoreError::Corrupt(if offset < end {
@@ -857,10 +955,8 @@ impl<R: Read + Seek> StoreReader<R> {
     pub fn instances(&mut self) -> Result<Vec<EtcInstance>, StoreError> {
         let mut out = Vec::new();
         let count = self.instance_count;
-        self.walk_records(SECTION_INSTANCES, count, "instance record", |body| {
-            let instance = decode_instance(body)
-                .map_err(|e| StoreError::Corrupt(format!("instance record: {e}")))?;
-            out.push(instance);
+        self.walk_records(SECTION_INSTANCES, count, "instance record", |body, _| {
+            out.push(decode_instance(body).map_err(instance_error)?);
             Ok(())
         })?;
         Ok(out)
@@ -870,7 +966,7 @@ impl<R: Read + Seek> StoreReader<R> {
     pub fn bests(&mut self) -> Result<Vec<(u64, CachedRun)>, StoreError> {
         let mut out = Vec::new();
         let count = self.best_count;
-        self.walk_records(SECTION_BESTS, count, "best record", |body| {
+        self.walk_records(SECTION_BESTS, count, "best record", |body, _| {
             out.push(decode_best(body)?);
             Ok(())
         })?;
@@ -881,7 +977,7 @@ impl<R: Read + Seek> StoreReader<R> {
     pub fn checkpoints(&mut self) -> Result<Vec<(String, Vec<u8>)>, StoreError> {
         let mut out = Vec::new();
         let count = self.checkpoint_count;
-        self.walk_records(SECTION_CHECKPOINTS, count, "checkpoint record", |body| {
+        self.walk_records(SECTION_CHECKPOINTS, count, "checkpoint record", |body, _| {
             let (name, payload) = decode_checkpoint(body)?;
             out.push((name.to_string(), payload.to_vec()));
             Ok(())
@@ -890,9 +986,11 @@ impl<R: Read + Seek> StoreReader<R> {
     }
 
     /// Walks every record in every known section, re-checking every CRC
-    /// and decoding every body, and proves each record is reachable
+    /// and every record's codec, and proves each record is reachable
     /// through its hash index. The full-file integrity pass behind
-    /// `pacga corpus verify`.
+    /// `pacga corpus verify`. It fails where a decode of every record and
+    /// a `get_*` of every key would, with the same error, but holds one
+    /// record at a time and builds no instance.
     pub fn verify(&mut self) -> Result<VerifyReport, StoreError> {
         let mut report = VerifyReport {
             unknown_sections: self
@@ -911,17 +1009,31 @@ impl<R: Read + Seek> StoreReader<R> {
                 .count(),
             ..VerifyReport::default()
         };
-        for instance in self.instances()? {
-            let found = self.get_instance(instance.name())?;
-            if found.as_ref().map(|i| i.name().to_string()) != Some(instance.name().to_string()) {
+        let mut names = Vec::new();
+        let count = self.instance_count;
+        self.walk_records(SECTION_INSTANCES, count, "instance record", |body, _| {
+            names.push(check_instance(body).map_err(instance_error)?.to_string());
+            Ok(())
+        })?;
+        for name in names {
+            let offsets = self.instance_index.candidates(name_key(&name));
+            let found = self.find(offsets, "instance record", |body| {
+                Ok((check_instance(body).map_err(instance_error)? == name).then_some(()))
+            })?;
+            if found.is_none() {
                 return Err(StoreError::Corrupt(format!(
-                    "instance {:?} not reachable through the index",
-                    instance.name()
+                    "instance {name:?} not reachable through the index"
                 )));
             }
             report.instances += 1;
         }
-        for (digest, _) in self.bests()? {
+        let mut digests = Vec::new();
+        let count = self.best_count;
+        self.walk_records(SECTION_BESTS, count, "best record", |body, _| {
+            digests.push(decode_best(body)?.0);
+            Ok(())
+        })?;
+        for digest in digests {
             if self.get_best(digest)?.is_none() {
                 return Err(StoreError::Corrupt(format!(
                     "best record {digest:#018x} not reachable through the index"
@@ -929,46 +1041,90 @@ impl<R: Read + Seek> StoreReader<R> {
             }
             report.bests += 1;
         }
-        report.checkpoints = self.checkpoints()?.len();
+        let count = self.checkpoint_count;
+        self.walk_records(SECTION_CHECKPOINTS, count, "checkpoint record", |body, _| {
+            decode_checkpoint(body)?;
+            report.checkpoints += 1;
+            Ok(())
+        })?;
         Ok(report)
     }
+}
 
-    /// Loads the whole store back into a [`StoreBuilder`] for merging
-    /// (the daemon's drain path: load, upsert fresh results, rewrite).
+impl<R: Read + Seek + Send + 'static> StoreReader<R> {
+    /// Loads the whole store into a [`StoreBuilder`] for merging (the
+    /// daemon's drain path: load, upsert fresh results, rewrite).
     ///
     /// Each record is CRC-checked and validated exactly as
     /// [`instances`](Self::instances), [`bests`](Self::bests) and
     /// [`checkpoints`](Self::checkpoints) would, with the same errors in
-    /// the same order, and then its body is kept byte for byte under its
-    /// key: nothing is decoded into an instance or re-encoded. Every
-    /// record codec checks the exact body length, so an encoding is
-    /// canonical and the builder's image equals a decode-and-re-add
-    /// merge of the same store.
+    /// the same order. The builder then keeps only the record's key and
+    /// its frame's offset, length and CRC, and shares this reader's
+    /// handle: writing the builder copies each stored body from this
+    /// file and checks its CRC again, so no body is held in memory and
+    /// nothing is decoded into an instance or re-encoded. Every record
+    /// codec checks the exact body length, so an encoding is canonical
+    /// and the builder's image equals a decode-and-re-add merge of the
+    /// same store.
     pub fn to_builder(&mut self) -> Result<StoreBuilder, StoreError> {
         let mut builder = StoreBuilder::new();
         let count = self.instance_count;
-        self.walk_records(SECTION_INSTANCES, count, "instance record", |body| {
-            let name = check_instance(body)
-                .map_err(|e| StoreError::Corrupt(format!("instance record: {e}")))?;
-            let name = name.to_string();
-            upsert(&mut builder.instances, name, std::mem::take(body));
+        self.walk_records(SECTION_INSTANCES, count, "instance record", |body, stored| {
+            let name = check_instance(body).map_err(instance_error)?.to_string();
+            upsert(&mut builder.instances, name, stored);
             Ok(())
         })?;
         let count = self.best_count;
-        self.walk_records(SECTION_BESTS, count, "best record", |body| {
+        self.walk_records(SECTION_BESTS, count, "best record", |body, stored| {
             let (digest, _) = decode_best(body)?;
-            upsert(&mut builder.bests, digest, std::mem::take(body));
+            upsert(&mut builder.bests, digest, stored);
             Ok(())
         })?;
         let count = self.checkpoint_count;
-        self.walk_records(SECTION_CHECKPOINTS, count, "checkpoint record", |body| {
+        self.walk_records(SECTION_CHECKPOINTS, count, "checkpoint record", |body, stored| {
             let (name, _) = decode_checkpoint(body)?;
-            let name = name.to_string();
-            upsert(&mut builder.checkpoints, name, std::mem::take(body));
+            upsert(&mut builder.checkpoints, name.to_string(), stored);
             Ok(())
         })?;
+        let source: Arc<Mutex<dyn Source>> = self.handle.clone();
+        builder.source = Some(source);
         Ok(builder)
     }
+}
+
+/// An instance codec error as the store reports it.
+fn instance_error(e: etc_model::binary::BinError) -> StoreError {
+    StoreError::Corrupt(format!("instance record: {e}"))
+}
+
+/// Reads the record frame `handle` is positioned at (`offset` in a file
+/// of `file_len` bytes) and its body into `body`, checking the body's
+/// CRC; returns the frame's length and CRC. The length is checked
+/// against the file before `body` is sized, so a corrupt length never
+/// drives an allocation.
+fn read_frame<R: Read>(
+    handle: &mut R,
+    file_len: u64,
+    offset: u64,
+    body: &mut Vec<u8>,
+    what: &'static str,
+) -> Result<(u32, u32), StoreError> {
+    let mut frame = [0u8; 8];
+    read_exact_into(handle, &mut frame, what)?;
+    let len = u32_at(&frame, 0, what)?;
+    let stored = u32_at(&frame, 4, what)?;
+    let end = offset.checked_add(8).and_then(|o| o.checked_add(u64::from(len)));
+    match end {
+        Some(end) if end <= file_len => {}
+        _ => return Err(StoreError::Corrupt(format!("record at {offset} overruns the file"))),
+    }
+    body.resize(len as usize, 0);
+    read_exact_into(handle, body, what)?;
+    let computed = Crc32::of(body);
+    if stored != computed {
+        return Err(StoreError::Crc { what: what.into(), stored, computed });
+    }
+    Ok((len, stored))
 }
 
 fn read_exact_at<R: Read + Seek>(
@@ -984,7 +1140,7 @@ fn read_exact_at<R: Read + Seek>(
 }
 
 /// `read_exact` with a short read typed as [`StoreError::Truncated`].
-fn read_exact_into<R: Read>(
+fn read_exact_into<R: Read + ?Sized>(
     handle: &mut R,
     buf: &mut [u8],
     what: &'static str,
@@ -1067,15 +1223,16 @@ mod tests {
             upsert(
                 &mut b.instances,
                 name.to_string(),
-                encode_instance(&named(name, ready)).unwrap(),
+                Body::Owned(encode_instance(&named(name, ready)).unwrap()),
             );
         }
         for (digest, tag) in [(7, 1), (3, 2), (7, 3), (3, 4), (9, 5)] {
-            upsert(&mut b.bests, digest, encode_best(digest, &run(tag, 4, 2)).unwrap());
+            let body = encode_best(digest, &run(tag, 4, 2)).unwrap();
+            upsert(&mut b.bests, digest, Body::Owned(body));
         }
         for (name, payload) in [("x", "one"), ("y", "two"), ("x", "three")] {
             let body = encode_checkpoint(name, payload.as_bytes()).unwrap();
-            upsert(&mut b.checkpoints, name.to_string(), body);
+            upsert(&mut b.checkpoints, name.to_string(), Body::Owned(body));
         }
         assert_eq!((b.instance_count(), b.best_count(), b.checkpoint_count()), (3, 3, 2));
 
@@ -1099,7 +1256,7 @@ mod tests {
         body.get_mut(9..13).unwrap().copy_from_slice(&(1u32 << 31).to_le_bytes());
         body.get_mut(13..17).unwrap().copy_from_slice(&(1u32 << 30).to_le_bytes());
         let mut b = StoreBuilder::new();
-        upsert(&mut b.instances, "toy_3x2".to_string(), body);
+        upsert(&mut b.instances, "toy_3x2".to_string(), Body::Owned(body));
         let mut r = StoreReader::open(Cursor::new(b.encode())).unwrap();
         let corrupt = |e: StoreError| match e {
             StoreError::Corrupt(m) => assert!(m.contains("overflows"), "{m}"),

@@ -34,20 +34,31 @@
 //! `cold_ms` is the cold thread's own run time.
 //!
 //! **Durability.** A session opened with a `session` name persists
-//! under `<data-dir>/sessions/<name>/`:
+//! under `<data-dir>/sessions/<name>/` after every applied event:
 //!
 //! * `instance.etc` — the current base world (drift and arrivals
-//!   included), written atomically after every applied event;
+//!   included) in the binary instance codec of [`etc_model::binary`].
+//!   Sessions used to persist it as text; resume reads either, and the
+//!   next persist writes binary;
 //! * `session.json` — sequencing, budget/engine knobs, down-machine
 //!   set, and the warm-vs-cold ledger;
 //! * `checkpoint.ckpt` — the population in *base* (global-machine)
-//!   gene space, via the PR-7 checkpoint format.
+//!   gene space, in the [`pa_cga_core::checkpoint`] v2 text format.
 //!
-//! A daemon killed mid-session (SIGKILL included) resumes from the last
-//! applied event: `stream.open {"session": N, "resume": true}` reloads
-//! all three files and re-repairs the population defensively. Every
-//! write goes through [`pa_cga_core::fsx`], so a torn write can only
-//! lose the *newest* event, never corrupt the session.
+//! A daemon killed between events (SIGKILL included) resumes from the
+//! last applied event: `stream.open {"session": N, "resume": true}`
+//! reloads all three files and re-repairs the population defensively.
+//! Each file goes through a [`pa_cga_core::fsx`] atomic write, so no
+//! file is ever torn. But `persist` installs the three one after
+//! another in the order above, and resume reads them independently:
+//! the session has no single commit point. A kill inside `persist`
+//! can leave a session that does not resume or resumes wrongly:
+//!
+//! * killed after `instance.etc` and before `checkpoint.ckpt`, on a
+//!   `task.arrive` or `task.cancel`, the checkpoint's genes no longer
+//!   match the world's task count, and resume fails;
+//! * killed before `session.json`, the old `next_seq` sits beside the
+//!   updated world, so the client's resent event is applied twice.
 
 use crate::json::Json;
 use crate::protocol::{
@@ -242,12 +253,7 @@ impl StreamSession {
             ));
         }
         let corrupt = |what: &str, e: String| fail("bad_open", format!("{what}: {e}"));
-        let instance = std::fs::File::open(dir.join("instance.etc"))
-            .map_err(|e| corrupt("instance.etc", e.to_string()))
-            .and_then(|f| {
-                etc_model::io::read_instance(std::io::BufReader::new(f))
-                    .map_err(|e| corrupt("instance.etc", e.to_string()))
-            })?;
+        let instance = load_world(&dir).map_err(|e| corrupt("instance.etc", e))?;
         let meta_text = std::fs::read_to_string(dir.join("session.json"))
             .map_err(|e| corrupt("session.json", e.to_string()))?;
         let meta = Json::parse(&meta_text).map_err(|e| corrupt("session.json", e.to_string()))?;
@@ -552,10 +558,10 @@ impl StreamSession {
     fn persist(&self) -> Result<(), String> {
         let Some(dir) = &self.dir else { return Ok(()) };
         std::fs::create_dir_all(dir).map_err(|e| format!("create {dir:?}: {e}"))?;
-        pa_cga_core::fsx::atomic_write_with(&dir.join("instance.etc"), |mut w| {
-            etc_model::io::write_instance(&mut w, self.grid.base())
-        })
-        .map_err(|e| format!("instance.etc: {e}"))?;
+        let world = etc_model::binary::encode_instance(self.grid.base())
+            .map_err(|e| format!("instance.etc: {e}"))?;
+        pa_cga_core::fsx::atomic_write(&dir.join("instance.etc"), &world)
+            .map_err(|e| format!("instance.etc: {e}"))?;
         let mut meta = self.meta_json().to_string();
         meta.push('\n');
         pa_cga_core::fsx::atomic_write(&dir.join("session.json"), meta.as_bytes())
@@ -645,6 +651,18 @@ fn resolve_baseline(name: Option<&str>) -> Result<Option<Heuristic>, StreamFailu
             .map(Some)
             .ok_or_else(|| fail("bad_open", format!("unknown baseline {n:?}"))),
     }
+}
+
+/// A persisted session's base world from its `instance.etc`: the binary
+/// instance codec, or the text format sessions were persisted in before.
+/// The binary decode checks the exact payload length, so a text file
+/// never passes for binary.
+fn load_world(dir: &Path) -> Result<EtcInstance, String> {
+    let bytes = std::fs::read(dir.join("instance.etc")).map_err(|e| e.to_string())?;
+    etc_model::binary::decode_instance(&bytes).or_else(|binary| {
+        etc_model::io::read_instance(bytes.as_slice())
+            .map_err(|text| format!("neither a binary instance ({binary}) nor a text one ({text})"))
+    })
 }
 
 fn min_fitness(pop: &[Individual]) -> f64 {
@@ -842,6 +860,51 @@ mod tests {
         let (code, _) = StreamSession::open(req, Some(&tmp)).unwrap_err();
         assert_eq!(code, "no_session");
 
+        let _ = std::fs::remove_dir_all(&tmp);
+    }
+
+    #[test]
+    fn session_persisted_as_text_resumes() {
+        let tmp = std::env::temp_dir().join(format!("pacga-stream-text-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&tmp);
+        let open = |line: &str| StreamSession::open(decode_open(line), Some(&tmp));
+        let resume = r#"{"type":"stream.open","session":"t1","resume":true}"#;
+        let (mut s, _) = open(
+            r#"{"type":"stream.open","session":"t1","etc_model":{"tasks":16,"machines":4,"seed":3},"evals":300,"grid":3}"#,
+        )
+        .expect("fresh open");
+        s.handle_event(decode_event(
+            r#"{"type":"stream.event","seq":0,"event":{"kind":"task.arrive","etc":[1,2,3,4]}}"#,
+        ))
+        .expect("event");
+        let (pop, best) = (s.population.clone(), s.best);
+        drop(s);
+
+        // The world as an older daemon left it: text.
+        let path = tmp.join("sessions").join("t1").join("instance.etc");
+        let world = etc_model::binary::decode_instance(&std::fs::read(&path).unwrap()).unwrap();
+        let mut text = Vec::new();
+        etc_model::io::write_instance(&mut text, &world).unwrap();
+        std::fs::write(&path, text).unwrap();
+
+        let (mut s, body) = open(resume).expect("resume from text");
+        assert!(body.resumed);
+        assert_eq!(s.population, pop);
+        assert_eq!(s.best.to_bits(), best.to_bits());
+        s.handle_event(decode_event(
+            r#"{"type":"stream.event","seq":1,"event":{"kind":"machine.down","machine":0}}"#,
+        ))
+        .expect("event after resume");
+        let persisted = std::fs::read(&path).unwrap();
+        assert!(
+            etc_model::binary::decode_instance(&persisted).unwrap() == world,
+            "the next persist writes the world in binary"
+        );
+        let pop = s.population.clone();
+        drop(s);
+        let (s, _) = open(resume).expect("resume from binary");
+        assert_eq!(s.population, pop);
+        assert_eq!(s.grid.base(), &world);
         let _ = std::fs::remove_dir_all(&tmp);
     }
 

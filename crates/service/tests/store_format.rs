@@ -8,6 +8,7 @@
 //! `pa_cga_service::store` and `etc_model::binary`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::Cursor;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -21,34 +22,70 @@ use pa_cga_service::store::{
 use pa_cga_service::CachedRun;
 
 /// The system allocator, recording the largest single request so a test
-/// can prove a corrupt length field never drives an allocation. The
-/// maximum is binary-wide; no test here allocates anywhere near 1 GiB.
+/// can prove a corrupt length field never drives an allocation, and each
+/// thread's live bytes with their high-water mark so a test can bound
+/// what one call holds at once. The maximum request is binary-wide; no
+/// test here allocates anywhere near 1 GiB. Live bytes are counted per
+/// thread because the tests of this binary run in parallel.
 struct LargestRequest;
 
 static LARGEST: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Bytes this thread allocated and has not freed (memory freed by
+    /// another thread than the one that allocated it skews both counts,
+    /// which is why a test reads only growth over its own calls).
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// The most `LIVE` has been since the last [`peak_growth`] began.
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+/// Adds `delta` to this thread's live bytes and raises its peak.
+fn track(delta: isize) {
+    // `try_with`: a thread being torn down has no counters left.
+    let _ = LIVE.try_with(|live| {
+        let now = live.get() + delta;
+        live.set(now);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
+    });
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, so
-// the caller's `GlobalAlloc` obligations are exactly `System`'s.
+// the caller's `GlobalAlloc` obligations are exactly `System`'s. The
+// counters are const-initialized `Cell`s, which never allocate.
 unsafe impl GlobalAlloc for LargestRequest {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // ord: a monotone maximum read after the fact; no data is published.
         LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
+        track(layout.size() as isize);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as isize));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // ord: as in `alloc`.
         LARGEST.fetch_max(new_size, Ordering::Relaxed);
+        track(new_size as isize - layout.size() as isize);
         System.realloc(ptr, layout, new_size)
     }
 }
 
 #[global_allocator]
 static ALLOC: LargestRequest = LargestRequest;
+
+/// Runs `f` and returns its value with how far this thread's live bytes
+/// rose above where they stood when `f` began, at their highest.
+fn peak_growth<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let start = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(start));
+    let value = f();
+    let peak = PEAK.with(Cell::get);
+    (value, (peak - start).max(0) as usize)
+}
 
 // --- little helpers (tests may index directly; damage here just fails) ---
 
@@ -821,4 +858,80 @@ fn to_builder_errors_match_the_oracle() {
         let got = drained(&bytes);
         assert!(got == expected, "{label}: {:?} vs {:?}", got.err(), expected.err());
     }
+}
+
+/// A corpus on disk for the drain tests: 32 instances of 512+ tasks on
+/// 16 machines, 512 bests of 512 tasks and a checkpoint, about 3.3 MB of
+/// record bodies. Returns the file's path and the sum of its body bytes.
+fn many_record_corpus(dir: &std::path::Path) -> (std::path::PathBuf, u64) {
+    let mut b = StoreBuilder::new();
+    for k in 0..32 {
+        b.add_instance(&EtcInstance::toy(512 + k, 16)).unwrap();
+    }
+    for tag in 0..512u64 {
+        b.add_best(tag.wrapping_mul(0x9E37_79B9_7F4A_7C15), &best(tag, 512, 16)).unwrap();
+    }
+    b.add_checkpoint("job-1", &[0x5A; 40_000]).unwrap();
+    let path = dir.join("many.pacst");
+    b.write(&path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    let bodies = [SECTION_INSTANCES, SECTION_BESTS, SECTION_CHECKPOINTS]
+        .into_iter()
+        .flat_map(|kind| record_offsets(&bytes, kind))
+        .map(|at| u64::from(u32_le(&bytes, at)))
+        .sum();
+    (path, bodies)
+}
+
+#[test]
+fn drain_holds_no_stored_body() {
+    let dir = std::env::temp_dir().join(format!("pacst-peak-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (path, bodies) = many_record_corpus(&dir);
+    let before = std::fs::read(&path).unwrap();
+    let target = dir.join("drained.pacst");
+    let ((), peak) = peak_growth(|| {
+        let mut builder = StoreReader::open_path(&path).unwrap().to_builder().unwrap();
+        builder.add_best(7, &best(7, 512, 16)).unwrap();
+        builder.write(&target).unwrap();
+    });
+    // What a drain may hold at once: the largest body being checked,
+    // the copy buffer, the two file buffers and the indexes, which is a
+    // few hundred KB here. Holding the stored bodies costs all of them.
+    let bound = bodies / 8;
+    assert!(peak as u64 <= bound, "drain peaked {peak} B over {bodies} B of bodies");
+    // And the image is the merge's.
+    let mut expected = open(before).unwrap().to_builder().unwrap();
+    expected.add_best(7, &best(7, 512, 16)).unwrap();
+    assert!(std::fs::read(&target).unwrap() == expected.encode(), "drained image differs");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn body_changed_after_to_builder_fails_the_write() {
+    let dir = std::env::temp_dir().join(format!("pacst-changed-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("c.pacst");
+    std::fs::write(&path, three_of_each()).unwrap();
+    let mut builder = StoreReader::open_path(&path).unwrap().to_builder().unwrap();
+    builder.add_best(0xF00D, &best(9, 4, 2)).unwrap();
+
+    // Flip one byte inside the second instance's body, in place.
+    let mut changed = std::fs::read(&path).unwrap();
+    let at = record_offsets(&changed, SECTION_INSTANCES)[1] + 8 + 20;
+    changed[at] ^= 0x04;
+    {
+        use std::io::{Seek, SeekFrom, Write};
+        let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.seek(SeekFrom::Start(at as u64)).unwrap();
+        file.write_all(&changed[at..at + 1]).unwrap();
+    }
+
+    match builder.write(&path) {
+        Err(StoreError::Crc { what, .. }) => assert_eq!(what, "instance record"),
+        other => panic!("expected a CRC error, got {other:?}"),
+    }
+    assert!(std::fs::read(&path).unwrap() == changed, "the failed write replaced the file");
+    assert!(open(builder.encode()).is_err(), "an image cut short must not open");
+    let _ = std::fs::remove_dir_all(&dir);
 }

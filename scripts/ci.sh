@@ -74,13 +74,15 @@
 #            --large` pregenerates a .pacst store (FORMAT.md) of the 12
 #            Braun and three 4096x64 instances, a daemon booted with
 #            --corpus answers a request cold, drains (carrying every
-#            stored record through and persisting the cache), and a
+#            stored record through and persisting the cache), `pacga
+#            corpus verify` checks that drain's image, and a
 #            *second* daemon on the same store must answer the same
 #            digest cached:true on its very first request; the same
 #            line again is answered from the seen-line table, the
 #            request under another id is a normal hit and then a table
 #            hit, so `stats` reads 2 unscanned hits; `pacga
-#            corpus verify` then re-checks every record CRC and index,
+#            corpus verify` re-checks every record CRC and index after
+#            the second drain too,
 #            and the `corpus ls` instance lines must be identical before
 #            and after the two daemons
 set -euo pipefail
@@ -611,6 +613,12 @@ SERVE_PID=""
 grep -q "1 persisted" "$SERVE_LOG" \
   || { echo "corpus gate: drain did not persist the cache" >&2; cat "$SERVE_LOG" >&2; exit 1; }
 rm -f "$SERVE_LOG"
+# Verify the image this drain wrote before the next daemon reads it, so
+# a bad image is pinned to the drain that made it.
+VERIFY_OUT="$("$PACGA" corpus verify --corpus "$CORPUS")"
+echo "$VERIFY_OUT"
+grep -q "OK" <<<"$VERIFY_OUT" \
+  || { echo "corpus gate: verify failed after the first drain" >&2; exit 1; }
 
 # Daemon 2: a fresh process on the same store. The very first request
 # after the cold restart must be a cache hit — the tentpole's promise.
@@ -644,7 +652,7 @@ rm -f "$SERVE_LOG"
 VERIFY_OUT="$("$PACGA" corpus verify --corpus "$CORPUS")"
 echo "$VERIFY_OUT"
 grep -q "OK" <<<"$VERIFY_OUT" \
-  || { echo "corpus gate: verify failed after daemon rewrites" >&2; exit 1; }
+  || { echo "corpus gate: verify failed after the second drain" >&2; exit 1; }
 LS_AFTER="$("$PACGA" corpus ls --corpus "$CORPUS")"
 grep -q "1 best record(s)" <<<"$LS_AFTER" \
   || { echo "corpus gate: persisted best record missing from ls" >&2; exit 1; }
