@@ -207,8 +207,9 @@ pub fn save_population_meta<W: Write + ?Sized>(
 }
 
 /// Appends the decimal digits of `v`, as `v.to_string()` spells them,
-/// without allocating.
-fn push_decimal(out: &mut Vec<u8>, mut v: u32) {
+/// without allocating. The one integer speller behind the checkpoint
+/// body and the daemon's `assignment` arrays.
+pub fn push_decimal(out: &mut Vec<u8>, mut v: u32) {
     let mut digits = [0u8; 10];
     let mut start = digits.len();
     loop {

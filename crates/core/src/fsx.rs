@@ -26,9 +26,8 @@ use std::path::Path;
 /// Atomically replaces `path` with the bytes produced by `write`.
 ///
 /// `write` receives a buffered writer over the temp file; any error it
-/// returns (or any I/O error in the protocol) aborts the install and
-/// leaves `path` untouched. The temp file (`<path>.tmp`) may remain on
-/// error; the next successful write reclaims it.
+/// returns (or any I/O error in the protocol) aborts the install, leaves
+/// `path` untouched and removes the temp file (`<path>.tmp`).
 pub fn atomic_write_with(
     path: &Path,
     write: impl FnOnce(&mut dyn Write) -> io::Result<()>,
@@ -50,21 +49,22 @@ pub fn atomic_write_rotate(
     write: impl FnOnce(&mut dyn Write) -> io::Result<()>,
 ) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
-    {
-        // ALLOW-A4: this is the atomic-write implementation itself.
-        let mut file = std::fs::File::create(&tmp)?;
-        let mut buf = io::BufWriter::new(&mut file);
-        write(&mut buf)?;
-        buf.flush()?;
-        drop(buf);
-        file.sync_all()?;
-    }
-    if let Some(prev) = rotate_to {
-        if path.exists() {
-            std::fs::rename(path, prev)?;
+    // ALLOW-A4: this is the atomic-write implementation itself.
+    let file = std::fs::File::create(&tmp)?;
+    let installed = write_synced(file, write).and_then(|()| {
+        if let Some(prev) = rotate_to {
+            if path.exists() {
+                std::fs::rename(path, prev)?;
+            }
         }
+        std::fs::rename(&tmp, path)
+    });
+    if let Err(e) = installed {
+        // Best-effort: the error that stopped the install is the one to
+        // report.
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
     }
-    std::fs::rename(&tmp, path)?;
     if let Some(dir) = path.parent() {
         // Persist the rename: fsync the directory entry. Best-effort on
         // filesystems that reject directory fsync.
@@ -73,6 +73,18 @@ pub fn atomic_write_rotate(
         }
     }
     Ok(())
+}
+
+/// Streams `write` into `file` through a buffer, then `fsync`s it.
+fn write_synced(
+    mut file: std::fs::File,
+    write: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut buf = io::BufWriter::new(&mut file);
+    write(&mut buf)?;
+    buf.flush()?;
+    drop(buf);
+    file.sync_all()
 }
 
 #[cfg(test)]
@@ -106,6 +118,19 @@ mod tests {
         let err = atomic_write_with(&path, |_| Err(io::Error::other("payload failure")));
         assert!(err.is_err());
         assert_eq!(std::fs::read(&path).unwrap(), b"good", "old contents survive");
+        assert!(!path.with_extension("tmp").exists(), "tmp removed on error");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_rename_removes_tmp() {
+        let dir = tmp_dir("rename");
+        // A non-empty directory cannot be renamed over.
+        let path = dir.join("taken");
+        std::fs::create_dir_all(path.join("inside")).unwrap();
+        assert!(atomic_write(&path, b"bytes").is_err());
+        assert!(path.join("inside").is_dir(), "target untouched");
+        assert!(!path.with_extension("tmp").exists(), "tmp removed on error");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

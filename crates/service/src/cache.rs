@@ -3,7 +3,8 @@
 //! from a bounded LRU cache instead of re-running the engine.
 //!
 //! The entry is the *answer* (assignment + makespan + run stats), not
-//! the engine state, so a hit costs one hash lookup and one clone.
+//! the engine state, so a hit costs one hash lookup and one clone, which
+//! the response then takes over without copying the assignment again.
 //! Wall-time-budget requests are cached too: their result is one valid
 //! run's best schedule, which is exactly what a repeat request asks for.
 

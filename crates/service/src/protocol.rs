@@ -2,7 +2,9 @@
 //!
 //! Newline-delimited JSON over TCP: each line the client sends is one
 //! request object, each line the server answers is one response object.
-//! Requests are matched to responses in order per connection.
+//! Requests are matched to responses in order per connection. A line
+//! that is not UTF-8 is answered with an `error` (`id` null), as a line
+//! that does not decode is, and the connection stays open.
 //!
 //! Request `type`s:
 //!
@@ -55,6 +57,7 @@ use etc_model::{
     GeneratorParams, Heterogeneity,
 };
 use grid_sim::{EtcDelta, GridEvent};
+use pa_cga_core::checkpoint::push_decimal;
 use pa_cga_core::config::{PaCgaConfig, Termination};
 use pa_cga_core::crossover::CrossoverOp;
 
@@ -1051,6 +1054,11 @@ impl Response {
     /// The inverse direction of [`Request::decode`]: what the daemon
     /// writes back, one object per request, in request order.
     ///
+    /// The `assignment` of a `result` or `stream_result` is its last
+    /// field. It is spelled straight into the line's bytes, one
+    /// [`push_decimal`] per gene, after the rest of the object: a
+    /// 512-gene answer builds no `Json` node per gene.
+    ///
     /// ```
     /// use pa_cga_service::protocol::Response;
     /// use pa_cga_service::Json;
@@ -1080,11 +1088,42 @@ impl Response {
     /// assert_eq!(v.get("type").and_then(Json::as_str), Some("busy"));
     /// ```
     pub fn encode(&self) -> String {
-        self.to_json().to_string()
+        let head = self.head_json().to_string();
+        let Some(genes) = self.assignment() else {
+            return head;
+        };
+        let mut line = head.into_bytes();
+        // The head is an object: reopen it before its closing `}`.
+        line.pop();
+        // The key, the brackets, and most machine ids in one or two
+        // digits.
+        line.reserve(17 + genes.len() * 3);
+        line.extend_from_slice(b",\"assignment\":[");
+        for (i, &m) in genes.iter().enumerate() {
+            if i > 0 {
+                line.push(b',');
+            }
+            push_decimal(&mut line, m);
+        }
+        line.extend_from_slice(b"]}");
+        // The head is a `String` and the rest is ASCII, so this never
+        // takes the lossy branch.
+        String::from_utf8(line)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
     }
 
-    /// The JSON form of the response.
-    pub fn to_json(&self) -> Json {
+    /// The assignment [`Response::encode`] appends, if any.
+    fn assignment(&self) -> Option<&[u32]> {
+        match self {
+            Response::Result { assignment, .. } => assignment.as_deref(),
+            Response::StreamResult(b) => b.assignment.as_deref(),
+            _ => None,
+        }
+    }
+
+    /// The JSON form of the response, without the `assignment` that
+    /// [`Response::encode`] appends.
+    fn head_json(&self) -> Json {
         let opt_str = |s: &Option<String>| match s {
             Some(s) => Json::str(s.clone()),
             None => Json::Null,
@@ -1100,28 +1139,19 @@ impl Response {
                 engine_ms,
                 cached,
                 coalesced,
-                assignment,
-            } => {
-                let mut fields = vec![
-                    ("type", Json::str("result")),
-                    ("id", opt_str(id)),
-                    ("instance", Json::str(instance.clone())),
-                    ("n_tasks", Json::num(*n_tasks as f64)),
-                    ("n_machines", Json::num(*n_machines as f64)),
-                    ("makespan", Json::num(*makespan)),
-                    ("evaluations", Json::num(*evaluations as f64)),
-                    ("engine_ms", Json::num(*engine_ms)),
-                    ("cached", Json::Bool(*cached)),
-                    ("coalesced", Json::Bool(*coalesced)),
-                ];
-                if let Some(a) = assignment {
-                    fields.push((
-                        "assignment",
-                        Json::Arr(a.iter().map(|&m| Json::num(m as f64)).collect()),
-                    ));
-                }
-                Json::obj(fields)
-            }
+                assignment: _,
+            } => Json::obj(vec![
+                ("type", Json::str("result")),
+                ("id", opt_str(id)),
+                ("instance", Json::str(instance.clone())),
+                ("n_tasks", Json::num(*n_tasks as f64)),
+                ("n_machines", Json::num(*n_machines as f64)),
+                ("makespan", Json::num(*makespan)),
+                ("evaluations", Json::num(*evaluations as f64)),
+                ("engine_ms", Json::num(*engine_ms)),
+                ("cached", Json::Bool(*cached)),
+                ("coalesced", Json::Bool(*coalesced)),
+            ]),
             Response::Busy { reason } => {
                 Json::obj(vec![("type", Json::str("busy")), ("reason", Json::str(reason.clone()))])
             }
@@ -1239,12 +1269,6 @@ impl Response {
                     if let Some(m) = b.baseline_makespan {
                         fields.push(("baseline_makespan", Json::num(m)));
                     }
-                }
-                if let Some(a) = &b.assignment {
-                    fields.push((
-                        "assignment",
-                        Json::Arr(a.iter().map(|&m| Json::num(m as f64)).collect()),
-                    ));
                 }
                 Json::obj(fields)
             }
@@ -1510,7 +1534,7 @@ mod tests {
             coalesced: false,
             assignment: None,
         };
-        let v = r.to_json();
+        let v = Json::parse(&r.encode()).unwrap();
         assert!(v.get("assignment").is_none());
         assert_eq!(v.get("cached").unwrap().as_bool(), Some(true));
     }
@@ -1841,7 +1865,7 @@ mod tests {
             baseline_makespan: None,
             assignment: None,
         }));
-        let v = bare.to_json();
+        let v = Json::parse(&bare.encode()).unwrap();
         assert!(v.get("baseline").is_none());
         assert!(v.get("assignment").is_none());
         // stream.close decodes.
@@ -1859,5 +1883,165 @@ mod tests {
         assert_eq!(c.termination, Termination::Generations(5));
         assert_eq!(c.seed, 3);
         assert_eq!(c.crossover, CrossoverOp::OnePoint);
+    }
+
+    /// The tree rendering [`Response::encode`] replaced, kept as its
+    /// oracle: the head object with the assignment pushed as one
+    /// `Json::Num` per gene.
+    fn tree_json(r: &Response) -> Json {
+        let mut v = r.head_json();
+        if let (Json::Obj(fields), Some(genes)) = (&mut v, r.assignment()) {
+            let genes = genes.iter().map(|&m| Json::num(m as f64)).collect();
+            fields.push(("assignment".into(), Json::Arr(genes)));
+        }
+        v
+    }
+
+    /// The answers the golden lines pin: every `id` escape the writer
+    /// has, an assignment absent, empty and holding `u32::MAX`,
+    /// fractional and integral times, and `stream_result`s with and
+    /// without a baseline.
+    fn pinned_answers() -> Vec<Response> {
+        let result =
+            |id: Option<&str>, makespan: f64, engine_ms: f64, assignment| Response::Result {
+                id: id.map(str::to_string),
+                instance: "u_c_hihi.0".into(),
+                n_tasks: 512,
+                n_machines: 16,
+                makespan,
+                evaluations: 20_000,
+                engine_ms,
+                cached: id.is_some(),
+                coalesced: makespan.fract() == 0.0,
+                assignment,
+            };
+        let stream = |baseline: Option<&str>, baseline_makespan, assignment| {
+            Response::StreamResult(Box::new(StreamResultBody {
+                seq: 7,
+                kind: "machine.down".into(),
+                n_tasks: 4,
+                n_machines: 3,
+                alive: 2,
+                down: vec![1],
+                makespan_before: 10.0,
+                repair_makespan: 12.75,
+                makespan: 11.5,
+                recovery_ms: 0.375,
+                cold_ms: 2.0,
+                recovery_evals: 96,
+                budget_evals: 512,
+                cold_makespan: 11.5,
+                delta_vs_cold: -0.0,
+                warm_beats_cold: true,
+                baseline: baseline.map(str::to_string),
+                baseline_makespan,
+                assignment,
+            }))
+        };
+        vec![
+            result(None, 7_813_622.5, 142.0, None),
+            result(Some("quo\"te"), 12.0, 0.125, Some(vec![])),
+            result(Some("back\\slash"), 3.5e-7, 1e21, Some(vec![0, 1, 15, u32::MAX])),
+            result(Some("ctl\u{1}\t\n\r\u{1f}"), 1e-3, 2.5, Some(vec![10, 9, 100, 1000])),
+            result(Some("caf\u{e9} \u{2192} \u{65e5}\u{672c}"), 9e15, 0.0, Some(vec![3; 5])),
+            stream(Some("min-min"), Some(101.25), Some(vec![2, 0, 2, u32::MAX])),
+            stream(Some("mct"), None, None),
+            stream(None, None, Some(vec![])),
+        ]
+    }
+
+    /// [`pinned_answers`] as the tree rendering spelled them.
+    const PINNED_LINES: [&str; 8] = [
+        r#"{"type":"result","id":null,"instance":"u_c_hihi.0","n_tasks":512,"n_machines":16,"makespan":7813622.5,"evaluations":20000,"engine_ms":142,"cached":false,"coalesced":false}"#,
+        r#"{"type":"result","id":"quo\"te","instance":"u_c_hihi.0","n_tasks":512,"n_machines":16,"makespan":12,"evaluations":20000,"engine_ms":0.125,"cached":true,"coalesced":true,"assignment":[]}"#,
+        r#"{"type":"result","id":"back\\slash","instance":"u_c_hihi.0","n_tasks":512,"n_machines":16,"makespan":0.00000035,"evaluations":20000,"engine_ms":1000000000000000000000,"cached":true,"coalesced":false,"assignment":[0,1,15,4294967295]}"#,
+        r#"{"type":"result","id":"ctl\u0001\t\n\r\u001f","instance":"u_c_hihi.0","n_tasks":512,"n_machines":16,"makespan":0.001,"evaluations":20000,"engine_ms":2.5,"cached":true,"coalesced":false,"assignment":[10,9,100,1000]}"#,
+        r#"{"type":"result","id":"café → 日本","instance":"u_c_hihi.0","n_tasks":512,"n_machines":16,"makespan":9000000000000000,"evaluations":20000,"engine_ms":0,"cached":true,"coalesced":true,"assignment":[3,3,3,3,3]}"#,
+        r#"{"type":"stream_result","seq":7,"kind":"machine.down","n_tasks":4,"n_machines":3,"alive":2,"down":[1],"makespan_before":10,"repair_makespan":12.75,"makespan":11.5,"recovery_ms":0.375,"cold_ms":2,"recovery_evals":96,"budget_evals":512,"cold_makespan":11.5,"delta_vs_cold":0,"warm_beats_cold":true,"baseline":"min-min","baseline_makespan":101.25,"assignment":[2,0,2,4294967295]}"#,
+        r#"{"type":"stream_result","seq":7,"kind":"machine.down","n_tasks":4,"n_machines":3,"alive":2,"down":[1],"makespan_before":10,"repair_makespan":12.75,"makespan":11.5,"recovery_ms":0.375,"cold_ms":2,"recovery_evals":96,"budget_evals":512,"cold_makespan":11.5,"delta_vs_cold":0,"warm_beats_cold":true,"baseline":"mct"}"#,
+        r#"{"type":"stream_result","seq":7,"kind":"machine.down","n_tasks":4,"n_machines":3,"alive":2,"down":[1],"makespan_before":10,"repair_makespan":12.75,"makespan":11.5,"recovery_ms":0.375,"cold_ms":2,"recovery_evals":96,"budget_evals":512,"cold_makespan":11.5,"delta_vs_cold":0,"warm_beats_cold":true,"assignment":[]}"#,
+    ];
+
+    #[test]
+    fn answer_pins_golden_lines() {
+        let answers = pinned_answers();
+        assert_eq!(answers.len(), PINNED_LINES.len());
+        for (r, want) in answers.iter().zip(PINNED_LINES) {
+            assert_eq!(r.encode(), want);
+            assert_eq!(tree_json(r).to_string(), want);
+        }
+    }
+
+    #[test]
+    fn answer_pins_match_the_tree_rendering_on_random_answers() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x414E_5357);
+        const CHARS: [char; 10] = ['a', '7', '"', '\\', '\n', '\u{1}', '\u{7f}', 'é', '→', '😀'];
+        let text = |rng: &mut SmallRng| -> String {
+            (0..rng.gen_range(0..12usize)).map(|_| CHARS[rng.gen_range(0..CHARS.len())]).collect()
+        };
+        let time = |rng: &mut SmallRng| -> f64 {
+            match rng.gen_range(0..4u32) {
+                0 => rng.gen_range(0..10_000_000u64) as f64,
+                1 => rng.gen::<f64>() * 1e7,
+                2 => rng.gen::<f64>() * 1e-6,
+                // Any positive bit pattern: subnormals, 1e300, ∞ and NaN.
+                _ => f64::from_bits(rng.gen::<u64>() >> 1),
+            }
+        };
+        let genes = |rng: &mut SmallRng| -> Option<Vec<u32>> {
+            let len = rng.gen_range(0..600usize);
+            let top = [2, 16, 1 << 20, u32::MAX][rng.gen_range(0..4usize)];
+            let gene = |rng: &mut SmallRng| {
+                if rng.gen_bool(0.02) {
+                    u32::MAX
+                } else {
+                    rng.gen_range(0..=top)
+                }
+            };
+            rng.gen_bool(0.8).then(|| (0..len).map(|_| gene(rng)).collect())
+        };
+        for k in 0..1_500 {
+            let r = if k % 3 < 2 {
+                Response::Result {
+                    id: rng.gen_bool(0.7).then(|| text(&mut rng)),
+                    instance: text(&mut rng),
+                    n_tasks: rng.gen_range(0..5_000usize),
+                    n_machines: rng.gen_range(0..300usize),
+                    makespan: time(&mut rng),
+                    evaluations: rng.gen::<u64>() >> rng.gen_range(11..64u32),
+                    engine_ms: time(&mut rng),
+                    cached: rng.gen(),
+                    coalesced: rng.gen(),
+                    assignment: genes(&mut rng),
+                }
+            } else {
+                Response::StreamResult(Box::new(StreamResultBody {
+                    seq: rng.gen_range(0..1_000u64),
+                    kind: text(&mut rng),
+                    n_tasks: rng.gen_range(0..600usize),
+                    n_machines: rng.gen_range(1..20usize),
+                    alive: rng.gen_range(0..20usize),
+                    down: (0..rng.gen_range(0..4usize))
+                        .map(|_| rng.gen_range(0..20usize))
+                        .collect(),
+                    makespan_before: time(&mut rng),
+                    repair_makespan: time(&mut rng),
+                    makespan: time(&mut rng),
+                    recovery_ms: time(&mut rng),
+                    cold_ms: time(&mut rng),
+                    recovery_evals: rng.gen_range(0..100_000u64),
+                    budget_evals: rng.gen_range(0..100_000u64),
+                    cold_makespan: time(&mut rng),
+                    delta_vs_cold: time(&mut rng) - time(&mut rng),
+                    warm_beats_cold: rng.gen(),
+                    baseline: rng.gen_bool(0.5).then(|| text(&mut rng)),
+                    baseline_makespan: rng.gen_bool(0.5).then(|| time(&mut rng)),
+                    assignment: genes(&mut rng),
+                }))
+            };
+            assert_eq!(r.encode(), tree_json(&r).to_string(), "answer {k}");
+        }
     }
 }

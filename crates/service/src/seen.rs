@@ -8,7 +8,9 @@
 //! inline `schedule` line by a keyed hash of its bytes and length, and
 //! keeps the request it decoded to (cells dropped) with its digest. A
 //! line in the table costs one hash and one map read before the cache
-//! lookup; every other line takes the full decode.
+//! lookup; every other line takes the full decode. The hash is taken
+//! once per line ([`SeenLines::key`]): the lookup and, when the full
+//! path accepts the line, its entry share it.
 //!
 //! **Soundness.** [`crate::Request::decode`] and the checked digest
 //! depend only on the line's bytes, so an equal line decodes and digests
@@ -32,7 +34,7 @@ use std::sync::Arc;
 /// A line's place in the table: a keyed hash of its bytes and length,
 /// and the length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct LineKey {
+pub struct LineKey {
     hash: u64,
     len: usize,
 }
@@ -81,37 +83,41 @@ impl SeenLines {
         self.len() == 0
     }
 
-    fn key(&self, line: &str) -> LineKey {
-        let mut h = self.keys.build_hasher();
-        h.write(line.as_bytes());
-        h.write_usize(line.len());
-        LineKey { hash: h.finish(), len: line.len() }
-    }
-
-    /// The entry for `line` when the table holds it. The line is hashed
-    /// before the lock is taken; the lock covers one map read.
-    pub fn get(&self, line: &str) -> Option<Arc<KnownSchedule>> {
+    /// The key of `line`, or `None` when the table keeps nothing
+    /// (capacity 0): the line is then not hashed.
+    pub fn key(&self, line: &str) -> Option<LineKey> {
         if self.capacity == 0 {
             return None;
         }
-        let key = self.key(line);
+        let mut h = self.keys.build_hasher();
+        h.write(line.as_bytes());
+        h.write_usize(line.len());
+        Some(LineKey { hash: h.finish(), len: line.len() })
+    }
+
+    /// The entry under `key` when the table holds it. The lock covers
+    /// one map read.
+    pub fn get(&self, key: LineKey) -> Option<Arc<KnownSchedule>> {
         self.entries.lock().map.get(&key).cloned()
     }
 
-    /// The full path's checks and digest of `request`, decoded from
-    /// `line`. When they accept an inline matrix, `line` is entered.
-    pub fn checked_digest(&self, line: &str, request: &ScheduleRequest) -> Result<u64, String> {
+    /// The full path's checks and digest of `request`, decoded from the
+    /// line `key` was taken of. When they accept an inline matrix, the
+    /// line is entered under `key`.
+    pub fn checked_digest(
+        &self,
+        key: Option<LineKey>,
+        request: &ScheduleRequest,
+    ) -> Result<u64, String> {
         let digest = request.checked_digest()?;
-        if let InstanceSource::Inline { name, ready, .. } = &request.source {
-            if self.capacity > 0 {
-                let source = InstanceSource::Inline {
-                    name: name.clone(),
-                    etc: FlatMatrix::default(),
-                    ready: ready.clone(),
-                };
-                let request = ScheduleRequest { id: request.id.clone(), source, ..*request };
-                self.enter(self.key(line), KnownSchedule { request, digest });
-            }
+        if let (Some(key), InstanceSource::Inline { name, ready, .. }) = (key, &request.source) {
+            let source = InstanceSource::Inline {
+                name: name.clone(),
+                etc: FlatMatrix::default(),
+                ready: ready.clone(),
+            };
+            let request = ScheduleRequest { id: request.id.clone(), source, ..*request };
+            self.enter(key, KnownSchedule { request, digest });
         }
         Ok(digest)
     }
@@ -143,11 +149,16 @@ mod tests {
         }
     }
 
+    /// The entry for `line`, keyed as the daemon keys it.
+    fn get(table: &SeenLines, line: &str) -> Option<Arc<KnownSchedule>> {
+        table.key(line).and_then(|key| table.get(key))
+    }
+
     /// The full path, as the daemon takes it on a line the table lacks:
     /// decode, check and digest, entering the line when accepted.
     fn full_path(table: &SeenLines, line: &str) -> Result<u64, String> {
-        assert!(table.get(line).is_none(), "{line} took the table");
-        table.checked_digest(line, &decode(line))
+        assert!(get(table, line).is_none(), "{line} took the table");
+        table.checked_digest(table.key(line), &decode(line))
     }
 
     /// `line` decoded in full, its inline matrix emptied as the table
@@ -161,7 +172,7 @@ mod tests {
     }
 
     fn assert_known_as_full(table: &SeenLines, line: &str) {
-        let known = table.get(line).unwrap_or_else(|| panic!("{line} missed the table"));
+        let known = get(table, line).unwrap_or_else(|| panic!("{line} missed the table"));
         let full = decode(line);
         let instance = full.resolve_instance().unwrap();
         assert_eq!(known.digest, full.digest(&instance), "{line}");
@@ -174,7 +185,7 @@ mod tests {
         let digest = full_path(&table, LINE).unwrap();
         assert_eq!(table.len(), 1);
         assert_known_as_full(&table, LINE);
-        assert_eq!(table.get(LINE).map(|k| k.digest), Some(digest));
+        assert_eq!(get(&table, LINE).map(|k| k.digest), Some(digest));
         // Another id, another seed, or the same matrix in other bytes is
         // another line: a miss that the full path then enters.
         let other_id = LINE.replace(r#""id":"a""#, r#""id":"b""#);
@@ -232,7 +243,7 @@ mod tests {
         let table = SeenLines::new(0);
         full_path(&table, LINE).unwrap();
         assert!(table.is_empty(), "capacity 0 keeps nothing");
-        assert!(table.get(LINE).is_none());
+        assert!(get(&table, LINE).is_none());
 
         let table = SeenLines::new(2);
         let lines: Vec<String> =
@@ -241,11 +252,11 @@ mod tests {
             full_path(&table, line).unwrap();
         }
         assert_eq!(table.len(), 2);
-        assert!(table.get(&lines[0]).is_none(), "oldest evicted");
+        assert!(get(&table, &lines[0]).is_none(), "oldest evicted");
         assert_known_as_full(&table, &lines[1]);
         assert_known_as_full(&table, &lines[2]);
         // Entering a held line again does not grow the table.
-        table.checked_digest(&lines[1], &decode(&lines[1])).unwrap();
+        table.checked_digest(table.key(&lines[1]), &decode(&lines[1])).unwrap();
         assert_eq!(table.len(), 2);
     }
 }

@@ -38,7 +38,7 @@
 use crate::cache::{CachedRun, ScheduleCache};
 use crate::jobs::JobManager;
 use crate::protocol::{Request, Response, ScheduleRequest, StatsSnapshot, StreamOpenRequest};
-use crate::seen::{KnownSchedule, SeenLines};
+use crate::seen::{KnownSchedule, LineKey, SeenLines};
 use crate::store::{StoreBuilder, StoreReader};
 use crate::stream::StreamSession;
 use etc_model::EtcInstance;
@@ -566,7 +566,7 @@ fn acceptor_loop(listener: TcpListener, shared: &Arc<Shared>) {
 
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
-    let reader = match stream.try_clone() {
+    let mut reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
         Err(_) => return,
     };
@@ -575,20 +575,38 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     // are connection-local: the engine runs inline on this thread, so a
     // session never touches the batching queue or the worker pool.
     let mut session: Option<StreamSession> = None;
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break,
-        };
-        if line.trim().is_empty() {
-            continue;
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        match reader.read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
         }
-        let known = shared.lines.get(&line).and_then(|known| handle_known(shared, &known));
-        let response = match known {
-            Some(response) => response,
-            None => answer_line(shared, &line, &mut session),
+        let response = match std::str::from_utf8(without_line_end(&buf)) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => {
+                // One hash of the line serves the table's lookup and, on
+                // the full path, its entry.
+                let key = shared.lines.key(line);
+                let known = key
+                    .and_then(|key| shared.lines.get(key))
+                    .and_then(|known| handle_known(shared, &known));
+                match known {
+                    Some(response) => response,
+                    None => answer_line(shared, line, key, &mut session),
+                }
+            }
+            // Answered like any line that does not decode; the
+            // connection stays open.
+            Err(e) => {
+                Metrics::bump(&shared.metrics.errors);
+                let message = format!("request line is not UTF-8 (byte {})", e.valid_up_to());
+                Response::Error { id: None, message }
+            }
         };
-        if writeln!(writer, "{}", response.encode()).and_then(|_| writer.flush()).is_err() {
+        let mut line = response.encode();
+        line.push('\n');
+        if writer.write_all(line.as_bytes()).and_then(|_| writer.flush()).is_err() {
             break;
         }
     }
@@ -600,8 +618,22 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     }
 }
 
-/// Decodes `line` in full and answers it.
-fn answer_line(shared: &Arc<Shared>, line: &str, session: &mut Option<StreamSession>) -> Response {
+/// `buf` without the `\n` or `\r\n` that ends it, as
+/// [`BufRead::lines`] strips them.
+fn without_line_end(buf: &[u8]) -> &[u8] {
+    match buf.strip_suffix(b"\n") {
+        Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
+        None => buf,
+    }
+}
+
+/// Decodes `line` in full and answers it; `key` is its seen-line key.
+fn answer_line(
+    shared: &Arc<Shared>,
+    line: &str,
+    key: Option<LineKey>,
+    session: &mut Option<StreamSession>,
+) -> Response {
     match Request::decode(line) {
         Err(message) => {
             Metrics::bump(&shared.metrics.errors);
@@ -613,7 +645,7 @@ fn answer_line(shared: &Arc<Shared>, line: &str, session: &mut Option<StreamSess
             shared.trigger_shutdown();
             Response::Ok { message: "draining".into() }
         }
-        Ok(Request::Schedule(request)) => handle_schedule(shared, *request, line),
+        Ok(Request::Schedule(request)) => handle_schedule(shared, *request, key),
         Ok(
             request @ (Request::JobStart(_)
             | Request::JobStatus { .. }
@@ -647,14 +679,18 @@ fn answer_line(shared: &Arc<Shared>, line: &str, session: &mut Option<StreamSess
 /// instance checks, the pool check and the digest run here, and so does
 /// a cache hit. An inline matrix is checked and digested straight from
 /// its decoded cells, so a hit builds no instance; once accepted, its
-/// `line` enters the seen-line table. Only a miss resolves the instance
-/// and goes through the queue to the scheduler thread.
-fn handle_schedule(shared: &Arc<Shared>, request: ScheduleRequest, line: &str) -> Response {
+/// line enters the seen-line table under `key`. Only a miss resolves the
+/// instance and goes through the queue to the scheduler thread.
+fn handle_schedule(
+    shared: &Arc<Shared>,
+    request: ScheduleRequest,
+    key: Option<LineKey>,
+) -> Response {
     if let Some(busy) = drain_gate(shared) {
         return busy;
     }
     // Bad instances are answered immediately, never queued.
-    let digest = match shared.lines.checked_digest(line, &request) {
+    let digest = match shared.lines.checked_digest(key, &request) {
         Ok(digest) => digest,
         Err(message) => return schedule_error(shared, request.id, message),
     };
@@ -730,7 +766,7 @@ fn refusal_or_hit(
     let run = shared.cache.lock().hit(digest)?;
     Metrics::bump(&shared.metrics.received);
     Metrics::bump(&shared.metrics.completed);
-    Some(result_response(request, &request.instance_name(), &run, true, false))
+    Some(result_response(request, &request.instance_name(), run, true, false))
 }
 
 /// Counts and answers a `schedule` request refused before the queue.
@@ -890,7 +926,7 @@ fn process_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
             let _ = job.reply.send(result_response(
                 &job.request,
                 job.instance.name(),
-                &run,
+                run,
                 true,
                 false,
             ));
@@ -952,7 +988,7 @@ fn process_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
                     let _ = job.reply.send(result_response(
                         &job.request,
                         job.instance.name(),
-                        &run,
+                        run.clone(),
                         false,
                         k > 0,
                     ));
@@ -977,10 +1013,11 @@ fn cached_run(instance: &EtcInstance, outcome: &RunOutcome) -> CachedRun {
 /// `instance_name` is the REQUESTING job's resolved name, not the
 /// cached run's: the digest ignores labels, so a cache/coalesce answer
 /// may have been computed under a different name than this client used.
+/// The answer takes `run`'s assignment, not a copy of it.
 fn result_response(
     request: &ScheduleRequest,
     instance_name: &str,
-    run: &CachedRun,
+    run: CachedRun,
     cached: bool,
     coalesced: bool,
 ) -> Response {
@@ -994,7 +1031,7 @@ fn result_response(
         engine_ms: run.engine_ms,
         cached,
         coalesced,
-        assignment: request.include_assignment.then(|| run.assignment.clone()),
+        assignment: request.include_assignment.then_some(run.assignment),
     }
 }
 
@@ -1210,6 +1247,7 @@ mod tests {
         assert!(line.contains("CRC mismatch in instance record"), "{line}");
         assert!(line.ends_with("; not persisting"), "{line}");
         assert!(std::fs::read(&corpus).unwrap() == changed, "a failed write kept the old file");
+        assert!(!dir.join("c.tmp").exists(), "a failed write removed its temp file");
 
         // The daemon's own drain now meets the damage on its read pass:
         // nothing persists, and the daemon still exits cleanly.

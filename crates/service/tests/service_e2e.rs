@@ -118,6 +118,34 @@ fn protocol_errors_do_not_kill_the_connection() {
 }
 
 #[test]
+fn a_line_that_is_not_utf8_is_answered_and_the_connection_stays() {
+    use std::io::{BufRead, BufReader, Write};
+    let handle = spawn(ServeConfig::default());
+    let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(30))).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut answers = Vec::new();
+    for line in [&b"{\"type\":\"ping\"}\n"[..], b"\xff\xfe\n", b"{\"type\":\"ping\"}\r\n"] {
+        stream.write_all(line).unwrap();
+        let mut answer = String::new();
+        reader.read_line(&mut answer).unwrap();
+        answers.push(Json::parse(answer.trim()).unwrap_or_else(|e| panic!("{answer:?}: {e}")));
+    }
+    assert_eq!(answers[0].get("message").and_then(Json::as_str), Some("pong"));
+    assert_eq!(answers[1].get("type").and_then(Json::as_str), Some("error"), "{}", answers[1]);
+    assert_eq!(answers[1].get("id"), Some(&Json::Null));
+    let message = answers[1].get("message").and_then(Json::as_str).unwrap();
+    assert!(message.contains("not UTF-8"), "{message}");
+    assert_eq!(answers[2].get("message").and_then(Json::as_str), Some("pong"));
+
+    // Counted as a line that does not decode is.
+    let stats = Client::connect(handle.addr()).unwrap().stats().unwrap();
+    assert_eq!(stats.get("errors").and_then(Json::as_u64), Some(1), "{stats}");
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
 fn threads_beyond_worker_pool_rejected() {
     // workers = 2 (see spawn()): a 3-thread request would oversubscribe
     // the pool — the weight clamps but the engine would still spawn all

@@ -27,11 +27,13 @@
 #   2b delta delta-oracle differential gate: the incremental-evaluation
 #            suites (prop_delta, prop_operators, delta_toggle,
 #            stress_fitness), the engine bit pins (engine_pins), the
-#            heuristics crate's driver-vs-scan oracle tests and the
+#            heuristics crate's driver-vs-scan oracle tests, the
 #            request decoder's wire pins and fuzz smoke (decode_pins,
-#            fuzz_smoke) re-run under --release, where float codegen
-#            differs from debug — bit-identity, including the JSON number
-#            fast path's, must hold in the optimized build the benchmarks
+#            fuzz_smoke) and the answer encoder's byte pins
+#            (protocol::tests::answer_pins_*) re-run under --release,
+#            where float codegen differs from debug — bit-identity,
+#            including the JSON number fast path's and every answer
+#            line's, must hold in the optimized build the benchmarks
 #            and production runs actually use
 #   2c miri  cargo miri test on the core concurrency subset, time-boxed
 #            to 120s (soft-skip with a visible WARN when the miri
@@ -325,6 +327,7 @@ cargo test -q --release -p pa_cga_core \
   --test prop_operators --test delta_toggle --test stress_fitness \
   --test engine_pins
 cargo test -q --release -p pa_cga_service --test decode_pins --test fuzz_smoke
+cargo test -q --release -p pa_cga_service --lib answer_pins
 finish
 
 if [[ "$FAST" == 1 ]]; then
